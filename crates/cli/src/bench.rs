@@ -187,7 +187,7 @@ fn cs1_network() -> Sequential {
 fn naive_epoch(
     network: &mut Sequential,
     ds: &Dataset,
-    indices: &mut Vec<usize>,
+    indices: &mut [usize],
     rng: &mut StdRng,
     optimizer: &mut Optimizer,
     batch_size: usize,
@@ -528,7 +528,6 @@ fn bench_dse(out_dir: &str, quick: bool) -> Result<(), CliError> {
             .search(&problem, wl, budget)
             .evaluations
     });
-    drop(measure);
 
     let body = format!(
         "{{\n  \"suite\": \"dse\",\n  \"case\": \"cs1\",\n  \"queries\": {queries},\n  \
@@ -598,7 +597,6 @@ fn bench_serve(out_dir: &str, quick: bool) -> Result<(), CliError> {
         model_paths: vec![model_path.clone()],
         workers: 4,
         queue_depth: 1024,
-        batch_max: 16,
         cache_capacity: 4096,
         read_timeout_secs: 30,
         ..ServeConfig::default()
@@ -988,7 +986,6 @@ fn bench_online(out_dir: &str, quick: bool) -> Result<(), CliError> {
         model_paths: vec![model_path.clone()],
         workers: 2,
         queue_depth: 1024,
-        batch_max: 16,
         cache_capacity: 4096,
         read_timeout_secs: 30,
         shadow_rate: 1.0,
@@ -1953,17 +1950,16 @@ fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
     airchitect_chaos::reset();
     let model_path = serve_model_file(if quick { 2_000 } else { 4_000 })?;
 
-    // All oracles for every pooled workload: the model's own f32 answer
-    // and its int8 answer (healthy responses arrive via the batch path or
-    // the single-query bypass respectively) plus the exhaustive optimum
-    // (degraded responses).
+    // Both oracles for every pooled workload: the model's int8 answer
+    // (every healthy response) and the exhaustive optimum (degraded
+    // responses).
     let problem = Case1Problem::new(1 << CS1_BUDGET_LOG2);
     let model = persist::load(&model_path).map_err(|e| CliError::Run(e.to_string()))?;
     let rec = Recommender::new(model).map_err(|e| CliError::Run(e.to_string()))?;
     let mut rng = StdRng::seed_from_u64(37);
-    let pool: Arc<Vec<(String, String, String, String)>> = Arc::new(
+    let pool: Arc<Vec<(String, String, String)>> = Arc::new(
         (0..48)
-            .map(|_| -> Result<(String, String, String, String), CliError> {
+            .map(|_| -> Result<(String, String, String), CliError> {
                 let wl = random_workload(&mut rng);
                 let body = format!(
                     "{{\"m\":{},\"n\":{},\"k\":{},\"mac_budget\":{BUDGET}}}",
@@ -1971,10 +1967,6 @@ fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
                     wl.n(),
                     wl.k()
                 );
-                let (array, df) = rec
-                    .recommend_array(&problem, &wl, BUDGET)
-                    .map_err(|e| CliError::Run(e.to_string()))?;
-                let from_model = render_cs1(&array, df);
                 let (array, df) = rec
                     .recommend_array_fast(&problem, &wl, BUDGET)
                     .map_err(|e| CliError::Run(e.to_string()))?;
@@ -1984,7 +1976,7 @@ fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
                     .space()
                     .decode(found.label)
                     .ok_or_else(|| CliError::Run("search label out of space".into()))?;
-                Ok((body, from_model, from_quant, render_cs1(&array, df)))
+                Ok((body, from_quant, render_cs1(&array, df)))
             })
             .collect::<Result<_, _>>()?,
     );
@@ -1994,7 +1986,6 @@ fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
         model_paths: vec![model_path.clone()],
         workers: 4,
         queue_depth: 1024,
-        batch_max: 16,
         cache_capacity: 0, // every answer must be computed under fault
         read_timeout_secs: 30,
         deadline_ms: 2_000,
@@ -2018,10 +2009,11 @@ fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
                 // circuit opens, the fallback serves from search, and the
                 // first half-open probe after the cooldown recovers.
                 "serve.infer=err(other):1:5",
-                // Latency injection: rides under the 2 s deadline but
-                // exercises the queue under slow workers.
+                // Latency injection on the fallback workers: rides under
+                // the 2 s deadline but exercises their queue while search
+                // answers for an open circuit.
                 "serve.batch.dispatch=delay(40):0.3:20",
-                // A worker panic: must be isolated to one 500.
+                // A fallback-worker panic: must be isolated to one 500.
                 "serve.batch.dispatch=panic:1:1",
             ];
             // Healthy warmup: let the model path serve some of the load
@@ -2073,8 +2065,7 @@ fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
                     HttpClient::connect(addr, timeout).map_err(|e| e.to_string())?;
                 let mut latencies = Vec::with_capacity(requests / CLIENTS);
                 for i in 0..requests / CLIENTS {
-                    let (body, from_model, from_quant, from_search) =
-                        &pool[(tid + i * 7) % pool.len()];
+                    let (body, from_quant, from_search) = &pool[(tid + i * 7) % pool.len()];
                     let sent = Instant::now();
                     let resp = client
                         .post("/v1/recommend/array", body)
@@ -2083,8 +2074,7 @@ fn bench_chaos(out_dir: &str, quick: bool) -> Result<(), CliError> {
                     match resp.status {
                         200 => {
                             let ok = (resp.body.contains("\"source\":\"model\"")
-                                && (resp.body.contains(from_model)
-                                    || resp.body.contains(from_quant)))
+                                && resp.body.contains(from_quant))
                                 || (resp.body.contains("\"source\":\"search\"")
                                     && resp.body.contains(from_search));
                             if !ok {
@@ -2608,12 +2598,10 @@ fn bench_c10k(out_dir: &str, quick: bool) -> Result<(), CliError> {
         model_paths: vec![model_path.clone()],
         workers: 2,
         queue_depth: 2048,
-        batch_max: 64,
         cache_capacity: 4096,
         read_timeout_secs: 300,
         write_timeout_secs: 30,
         event_loops: cores.clamp(2, 8),
-        threaded: false,
         ..ServeConfig::default()
     };
     let server = Server::bind(&config).map_err(|e| CliError::Run(e.to_string()))?;

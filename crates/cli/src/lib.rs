@@ -10,7 +10,7 @@
 //! * `train`     — train an AIrchitect model on a dataset (`.airm` output),
 //! * `recommend` — constant-time recommendation from a trained model,
 //! * `bench`     — reproducible compute-engine benchmarks (`BENCH_*.json`),
-//! * `serve`     — batched, hot-reloadable HTTP inference server,
+//! * `serve`     — hot-reloadable HTTP inference server,
 //! * `report`    — validate and pretty-print a telemetry JSONL file.
 //!
 //! `generate`, `train`, `evaluate`, and `bench` accept `--trace` (print a
@@ -198,7 +198,7 @@ COMMANDS:
 
   serve      --model model.airm[,model2.airm...] [--host H] [--port P]
              [--cluster] [--replicas N]
-             [--workers W] [--queue-depth D] [--batch-max B] [--cache-cap C]
+             [--workers W] [--queue-depth D] [--cache-cap C]
              [--read-timeout-secs S] [--write-timeout-secs S]
              [--deadline-ms MS] [--breaker-threshold N]
              [--breaker-cooldown-ms MS] [--fallback search|none]
@@ -206,17 +206,20 @@ COMMANDS:
              buffers|schedule} (JSON bodies mirroring the `recommend` flags,
              plus "topk"), GET /healthz, GET /metrics, POST /v1/reload
              (atomic model hot-swap), POST /v1/shutdown (graceful drain).
-             --port 0 binds an ephemeral port (printed on stdout). Requests
-             beyond --queue-depth are rejected with 429 + Retry-After.
+             --port 0 binds an ephemeral port (printed on stdout). Every
+             model answer, top-1 and ranked, runs inline on the int8 network
+             inside the event loop. Linux only (epoll listener).
              --deadline-ms caps end-to-end request time (clients can tighten
              per request with X-Deadline-Ms; over-budget answers 504).
              --breaker-threshold N opens a circuit after N consecutive
              failures (0 disables; probes again after the cooldown).
              --fallback search answers from exhaustive DSE search (stamped
              "source":"search" + a Warning header) when a circuit is open or
-             a model failed to load, instead of 5xx.
-             --nodelay sets TCP_NODELAY on accepted sockets in both
-             listener modes (also via AIRCHITECT_SERVE_NODELAY=1).
+             a model failed to load, instead of 5xx; the searches run on a
+             pool of --workers threads, and fallback jobs beyond
+             --queue-depth are rejected with 429 + Retry-After.
+             --nodelay sets TCP_NODELAY on accepted sockets (also via
+             AIRCHITECT_SERVE_NODELAY=1).
              --shadow-oracle RATE --shadow-log-dir DIR
              [--shadow-queue-depth D] [--shadow-threads T]
              samples RATE (0..=1, deterministic per query) of admitted

@@ -1,5 +1,7 @@
 //! Integration tests driving the CLI command functions end to end with
-//! temp files (no subprocess spawning needed — the binary is a thin shim).
+//! temp files. Most call the library directly (the binary is a thin
+//! shim); the telemetry test runs the binary, because the telemetry
+//! registry is process-global and other tests in this process train too.
 
 use airchitect_cli::run;
 use std::path::PathBuf;
@@ -8,8 +10,11 @@ fn argv(s: &[&str]) -> Vec<String> {
     s.iter().map(|v| v.to_string()).collect()
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("airchitect-cli-{}", std::process::id()));
+/// A fresh directory owned by one test: tests run in parallel, so none
+/// may share (or delete) another's files.
+fn tmpdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("airchitect-cli-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
@@ -119,7 +124,7 @@ fn spaces_prints() {
 
 #[test]
 fn generate_train_recommend_cycle() {
-    let dir = tmpdir();
+    let dir = tmpdir("cycle");
     let data = dir.join("cs1.aids");
     let model = dir.join("cs1.airm");
     assert!(run(&argv(&[
@@ -188,20 +193,25 @@ fn generate_train_recommend_cycle() {
 
 #[test]
 fn traced_quick_train_emits_schema_valid_telemetry() {
-    let dir = tmpdir();
+    let dir = tmpdir("traced");
     let jsonl = dir.join("quick.jsonl");
-    assert!(run(&argv(&[
-        "train",
-        "--quick",
-        "--samples",
-        "300",
-        "--epochs",
-        "2",
-        "--trace",
-        "--metrics-out",
-        jsonl.to_str().expect("utf8 path"),
-    ]))
-    .is_ok());
+    // A child process: its telemetry registry sees only this training run,
+    // so the `train.epoch` count cannot be inflated by concurrent tests.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_airchitect"))
+        .args([
+            "train",
+            "--quick",
+            "--samples",
+            "300",
+            "--epochs",
+            "2",
+            "--trace",
+            "--metrics-out",
+            jsonl.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let text = std::fs::read_to_string(&jsonl).expect("telemetry file exists");
     let report = airchitect_telemetry::report::parse_report(&text).expect("schema-valid JSONL");
@@ -242,7 +252,6 @@ fn serve_flag_validation() {
         vec!["serve"],                                        // no --model
         vec!["serve", "--model", ""],                         // empty path list
         vec!["serve", "--model", "x.airm", "--workers", "0"], // no workers
-        vec!["serve", "--model", "x.airm", "--batch-max", "0"],
         vec!["serve", "--model", "x.airm", "--port", "99999"],
         vec!["serve", "--model", "x.airm", "--bogus", "1"], // typo protection
     ] {
@@ -280,8 +289,7 @@ fn train_from_log_fine_tunes_an_existing_model() {
     use airchitect_online::{MispredLog, MispredRecord};
     use airchitect_repro_imports::*;
 
-    let dir = tmpdir().join("from-log");
-    std::fs::create_dir_all(&dir).expect("create log dir");
+    let dir = tmpdir("from-log");
     let log_dir = dir.join("log");
 
     // A tiny CS1 model (30 classes over the 2^5-budget space).

@@ -147,6 +147,20 @@ impl Recommender {
         Some(self.infer_quant(quant, features, |arena| arena.top1()))
     }
 
+    /// The `k` highest-ranked labels with their softmax confidence, best
+    /// first. Ranked on the quantized pass's logits (ties to the lowest
+    /// label, so the head is the `_fast` top-1); the f32 network answers
+    /// only when the model could not be quantized.
+    fn ranked_scores(&self, features: &[f32], k: usize) -> Vec<(u32, f32)> {
+        let Some(quant) = &self.quant else {
+            return self.model.predict_topk(features, k);
+        };
+        self.infer_quant(quant, features, |arena| {
+            let labels = arena.top_k(k).to_vec();
+            softmax_scores(arena.logits(), &labels)
+        })
+    }
+
     fn check_case(&self, query: CaseStudy) -> Result<(), RecommendError> {
         if self.model.case_study() != query {
             return Err(RecommendError::WrongCaseStudy {
@@ -193,6 +207,10 @@ impl Recommender {
     /// recommendations with their softmax confidence — useful when the top
     /// pick is inconvenient (e.g. floorplan constraints).
     ///
+    /// Answered by the int8 pass, like the `_fast` variants (f32 only when
+    /// the model could not be quantized), so the head of the ranking is
+    /// the `_fast` top-1 whenever that pick fits the budget.
+    ///
     /// Labels outside the output space (possible when the model's class
     /// count exceeds the space) are skipped, so fewer than `k` entries may
     /// return.
@@ -208,9 +226,7 @@ impl Recommender {
         k: usize,
     ) -> Result<Vec<(ArrayConfig, Dataflow, f32)>, RecommendError> {
         self.check_case(CaseStudy::ArrayDataflow)?;
-        let ranked = self
-            .model
-            .predict_topk(&Case1Problem::features(workload, mac_budget), k);
+        let ranked = self.ranked_scores(&Case1Problem::features(workload, mac_budget), k);
         Ok(ranked
             .into_iter()
             .filter_map(|(label, p)| problem.space().decode(label).map(|(a, df)| (a, df, p)))
@@ -251,7 +267,8 @@ impl Recommender {
     }
 
     /// CS2: a ranked list of the `k` most likely buffer splits with their
-    /// softmax confidence, mirroring [`Recommender::recommend_array_topk`].
+    /// softmax confidence, on the same numerics as
+    /// [`Recommender::recommend_array_topk`].
     ///
     /// Like the CS1 top-k, entries are *not* filtered by the capacity limit
     /// (the caller sees the model's honest ranking); labels outside the
@@ -267,7 +284,7 @@ impl Recommender {
         k: usize,
     ) -> Result<Vec<(u64, u64, u64, f32)>, RecommendError> {
         self.check_case(CaseStudy::BufferSizing)?;
-        let ranked = self.model.predict_topk(&query.features(), k);
+        let ranked = self.ranked_scores(&query.features(), k);
         Ok(ranked
             .into_iter()
             .filter_map(|(label, p)| {
@@ -298,7 +315,8 @@ impl Recommender {
     }
 
     /// CS3: a ranked list of the `k` most likely schedules with their
-    /// softmax confidence, mirroring [`Recommender::recommend_array_topk`].
+    /// softmax confidence, on the same numerics as
+    /// [`Recommender::recommend_array_topk`].
     ///
     /// Labels outside the output space are skipped, so fewer than `k`
     /// entries may return.
@@ -313,9 +331,7 @@ impl Recommender {
         k: usize,
     ) -> Result<Vec<(Schedule, f32)>, RecommendError> {
         self.check_case(CaseStudy::MultiArrayScheduling)?;
-        let ranked = self
-            .model
-            .predict_topk(&Case3Problem::features(workloads), k);
+        let ranked = self.ranked_scores(&Case3Problem::features(workloads), k);
         Ok(ranked
             .into_iter()
             .filter_map(|(label, p)| {
@@ -453,6 +469,26 @@ impl Recommender {
     }
 }
 
+/// Softmax confidence of each of `labels` over the full `logits` vector.
+/// NaN-safe: NaN logits are left out of the normalizer and score 0, so a
+/// diverged model yields a meaningless but well-formed ranking (every
+/// score in `[0, 1]`) instead of NaN or a panic.
+fn softmax_scores(logits: &[f32], labels: &[u32]) -> Vec<(u32, f32)> {
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let sum: f32 = logits
+        .iter()
+        .filter(|l| !l.is_nan())
+        .map(|&l| (l - max).exp())
+        .sum();
+    labels
+        .iter()
+        .map(|&label| {
+            let p = (logits[label as usize] - max).exp() / sum;
+            (label, if p.is_nan() { 0.0 } else { p })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,7 +574,10 @@ mod tests {
         let top = rec.recommend_array_topk(&problem, &wl, 1 << 9, 5).unwrap();
         assert!(!top.is_empty() && top.len() <= 5);
         assert!(top.windows(2).all(|w| w[0].2 >= w[1].2));
-        let (a1, d1) = rec.recommend_array(&problem, &wl, 1 << 9).unwrap();
+        assert!(top.iter().all(|t| (0.0..=1.0).contains(&t.2)));
+        // Same numerics as the int8 top-1: with every shape inside the
+        // budget, the ranking's head is exactly the `_fast` pick.
+        let (a1, d1) = rec.recommend_array_fast(&problem, &wl, 1 << 9).unwrap();
         assert_eq!((top[0].0, top[0].1), (a1, d1));
     }
 
@@ -600,6 +639,7 @@ mod tests {
         let top = rec.recommend_buffers_topk(&problem, &query, 5).unwrap();
         assert!(!top.is_empty() && top.len() <= 5);
         assert!(top.windows(2).all(|w| w[0].3 >= w[1].3));
+        assert!(top.iter().all(|t| (0.0..=1.0).contains(&t.3)));
         for &(i, f, o, _) in &top {
             assert!(problem.space().encode(i, f, o).is_some());
         }
@@ -624,12 +664,48 @@ mod tests {
             .unwrap();
         assert!(!top.is_empty() && top.len() <= 4);
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
+        assert!(top.iter().all(|t| (0.0..=1.0).contains(&t.1)));
         for (schedule, _) in &top {
             assert!(schedule.is_permutation());
         }
-        // Head of the ranking agrees with the top-1 API.
-        let top1 = rec.recommend_schedule(&problem, &workloads).unwrap();
+        // Head of the ranking agrees with the int8 top-1 API.
+        let top1 = rec.recommend_schedule_fast(&problem, &workloads).unwrap();
         assert_eq!(top[0].0, top1);
+    }
+
+    #[test]
+    fn topk_survives_nan_logits() {
+        // A diverged checkpoint: every parameter NaN. The quantized pass
+        // emits NaN logits; the ranking must still come back whole, with
+        // well-formed scores, instead of panicking in the serving path.
+        let trained = run_case1(&quick(), (5, 9)).model;
+        let mut network = trained.network().clone();
+        network.for_each_param(|p| p.value.fill(f32::NAN));
+        let model = AirchitectModel::from_parts(
+            CaseStudy::ArrayDataflow,
+            trained.quantizer().clone(),
+            network,
+            true,
+        );
+        let rec = Recommender::new(model).unwrap();
+        assert!(rec.quantized().is_some(), "NaN weights still compile to int8");
+        let problem = Case1Problem::new(1 << 9);
+        let wl = GemmWorkload::new(200, 100, 50).unwrap();
+        let top = rec.recommend_array_topk(&problem, &wl, 1 << 9, 16).unwrap();
+        assert_eq!(top.len(), 16);
+        assert!(top.windows(2).all(|w| w[0].2 >= w[1].2));
+        assert!(top.iter().all(|t| (0.0..=1.0).contains(&t.2)));
+    }
+
+    #[test]
+    fn softmax_scores_normalize_and_zero_nan_logits() {
+        let scores = softmax_scores(&[2.0, 1.0, f32::NAN, 0.0], &[0, 1, 3, 2]);
+        let total: f32 = scores.iter().map(|&(_, p)| p).sum();
+        assert!((total - 1.0).abs() < 1e-6, "finite logits sum to 1: {scores:?}");
+        assert!(scores.windows(2).all(|w| w[0].1 >= w[1].1), "{scores:?}");
+        assert_eq!(scores[3], (2, 0.0));
+        let all_nan = softmax_scores(&[f32::NAN; 3], &[0, 1, 2]);
+        assert!(all_nan.iter().all(|&(_, p)| p == 0.0), "{all_nan:?}");
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! Bounded admission queue and the micro-batching worker pool.
+//! Query execution: the inline model answer and the fallback worker pool.
 //!
-//! Connection threads validate and enqueue [`Job`]s; a fixed pool of
-//! workers drains the queue in batches of up to `batch_max`, snapshots the
-//! current model **once per batch per case study**, and answers every job
-//! in the batch from that snapshot. The snapshot discipline is what makes
-//! hot-reload safe: a batch started before a swap finishes entirely on the
-//! old model, so no response ever mixes two models.
+//! Every model request — top-1 and ranked — is answered by [`execute`] on
+//! the event-loop shard that parsed it, on the int8 quantized pass (f32
+//! only for a model the quantizer rejected). One numerics means a served
+//! answer depends only on the query and the model version, never on load.
 //!
-//! Admission control is reject-on-full rather than block-on-full: when the
-//! queue holds `depth` jobs the push fails immediately and the connection
-//! answers `429` with `Retry-After`, keeping queue latency bounded for the
-//! requests that *are* admitted.
+//! The only work that leaves the shard is the `--fallback search` oracle:
+//! an exhaustive search costs milliseconds, so those [`Job`]s go through a
+//! bounded [`Queue`] to a small worker pool, and the answer comes back
+//! through the shard's [`CompletionQueue`]. Admission control is
+//! reject-on-full rather than block-on-full: when the queue holds `depth`
+//! jobs the push fails immediately and the connection answers `429` with
+//! `Retry-After`, and a stuck oracle still gets its `504` at the deadline
+//! from the shard.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-use airchitect_telemetry::metrics::SERVE_WAKEUPS;
 
 use airchitect::model::CaseStudy;
 use airchitect::recommend::RecommendError;
@@ -28,9 +27,8 @@ use airchitect_telemetry::json::write_f64;
 use airchitect_telemetry::metrics;
 use airchitect_workload::GemmWorkload;
 
-use crate::breaker::{Admit, Breakers};
 use crate::fallback::Oracle;
-use crate::reload::{case_name, CaseProblem, LoadedModel, ModelHub};
+use crate::reload::{case_name, CaseProblem, LoadedModel};
 
 /// A decoded, validated recommendation query.
 #[derive(Debug, Clone)]
@@ -75,11 +73,11 @@ pub enum Source {
     Search,
 }
 
-/// A worker's answer, ready for HTTP framing by the connection thread.
+/// An answer, ready for HTTP framing by the shard.
 #[derive(Debug, Clone)]
 pub enum Outcome {
     /// Success: the rendered response JSON minus its leading `{` (the
-    /// connection thread prepends `{"cached":...,`), plus the generation of
+    /// shard prepends `{"cached":...,`), plus the generation of
     /// the model that produced it (for cache stamping).
     Ok {
         /// Rendered JSON tail.
@@ -101,40 +99,25 @@ pub enum Outcome {
     },
 }
 
-/// How a worker delivers its [`Outcome`] back to whoever queued the job.
-///
-/// The threaded listener blocks a connection thread on an mpsc receiver;
-/// the evented listener cannot block anything, so its replies land on the
-/// owning shard's [`CompletionQueue`] and an eventfd wake re-arms the
-/// connection inside the loop.
+/// Where a fallback worker delivers its [`Outcome`]: the owning shard's
+/// [`CompletionQueue`], whose eventfd wakes the loop so the connection is
+/// re-armed inside it — the worker never touches a socket.
 #[derive(Debug)]
-pub enum Reply {
-    /// Blocking delivery: the connection thread waits on the paired
-    /// receiver (threaded listener).
-    Channel(mpsc::Sender<Outcome>),
-    /// Non-blocking delivery: push onto the shard's completion queue and
-    /// wake its event loop (evented listener).
-    Completion {
-        /// The owning shard's completion queue.
-        queue: Arc<CompletionQueue>,
-        /// Connection token (slot index + generation) on that shard.
-        conn: u64,
-        /// Per-connection request sequence number, so a late reply for an
-        /// already-504'd request is discarded instead of misdelivered.
-        req: u64,
-    },
+pub struct Reply {
+    /// The owning shard's completion queue.
+    pub queue: Arc<CompletionQueue>,
+    /// Connection token (slot index + generation) on that shard.
+    pub conn: u64,
+    /// Per-connection request sequence number, so a late reply for an
+    /// already-504'd request is discarded instead of misdelivered.
+    pub req: u64,
 }
 
 impl Reply {
-    /// Delivers `outcome`. A hung-up receiver (client gone) is dropped
-    /// silently in both modes.
-    pub fn send(&self, outcome: Outcome) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send(outcome);
-            }
-            Reply::Completion { queue, conn, req } => queue.push(*conn, *req, outcome),
-        }
+    /// Delivers `outcome`. A connection that has since closed discards it
+    /// on the shard side (token generation mismatch).
+    pub fn send(self, outcome: Outcome) {
+        self.queue.push(self.conn, self.req, outcome);
     }
 }
 
@@ -201,7 +184,7 @@ impl CompletionQueue {
 
     /// Wakes the owning loop without queueing anything (shutdown nudges).
     pub fn wake(&self) {
-        SERVE_WAKEUPS.inc();
+        metrics::SERVE_WAKEUPS.inc();
         #[cfg(target_os = "linux")]
         self.waker.wake();
     }
@@ -219,7 +202,7 @@ impl CompletionQueue {
     }
 }
 
-/// One queued request.
+/// One queued fallback request.
 #[derive(Debug)]
 pub struct Job {
     /// The validated query.
@@ -252,8 +235,8 @@ struct State {
     shutdown: bool,
 }
 
-/// The bounded MPMC job queue (mutex + condvar; std has no native MPMC
-/// channel with try-push semantics).
+/// The bounded MPMC fallback-job queue (mutex + condvar; std has no
+/// native MPMC channel with try-push semantics).
 pub struct Queue {
     state: Mutex<State>,
     ready: Condvar,
@@ -294,18 +277,16 @@ impl Queue {
         Ok(())
     }
 
-    /// Blocks until work is available, then drains up to `max` jobs.
-    /// Returns an empty batch only when the queue is shut down *and*
-    /// drained — the worker-exit signal.
-    pub fn pop_batch(&self, max: usize) -> Vec<Job> {
+    /// Blocks until a job is available. Returns `None` only when the queue
+    /// is shut down *and* drained — the worker-exit signal.
+    pub fn pop(&self) -> Option<Job> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
-            if !state.jobs.is_empty() {
-                let n = state.jobs.len().min(max.max(1));
-                return state.jobs.drain(..n).collect();
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
             }
             if state.shutdown {
-                return Vec::new();
+                return None;
             }
             state = self.ready.wait(state).expect("queue poisoned");
         }
@@ -329,74 +310,30 @@ impl Queue {
     }
 }
 
-/// Spawns `workers` threads draining `queue` in batches of `batch_max`.
-/// The threads exit (joinable) after [`Queue::shutdown`] once the queue is
-/// empty.
-pub fn spawn_workers(
-    workers: usize,
-    batch_max: usize,
-    queue: Arc<Queue>,
-    hub: Arc<ModelHub>,
-    breakers: Arc<Breakers>,
-    fallback: Option<Arc<Oracle>>,
-) -> Vec<JoinHandle<()>> {
+/// Spawns `workers` threads answering fallback jobs from `queue` with the
+/// search `oracle`. The threads exit (joinable) after [`Queue::shutdown`]
+/// once the queue is empty.
+pub fn spawn_workers(workers: usize, queue: Arc<Queue>, oracle: Arc<Oracle>) -> Vec<JoinHandle<()>> {
     (0..workers.max(1))
         .map(|i| {
             let queue = Arc::clone(&queue);
-            let hub = Arc::clone(&hub);
-            let breakers = Arc::clone(&breakers);
-            let fallback = fallback.clone();
+            let oracle = Arc::clone(&oracle);
             std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&queue, &hub, batch_max, &breakers, fallback.as_deref()))
-                .expect("spawn worker thread")
+                .name(format!("serve-fallback-{i}"))
+                .spawn(move || {
+                    while let Some(job) = queue.pop() {
+                        let outcome = answer_fallback(&job, &oracle);
+                        job.reply.send(outcome);
+                    }
+                })
+                .expect("spawn fallback worker thread")
         })
         .collect()
 }
 
-fn worker_loop(
-    queue: &Queue,
-    hub: &ModelHub,
-    batch_max: usize,
-    breakers: &Breakers,
-    fallback: Option<&Oracle>,
-) {
-    loop {
-        let batch = queue.pop_batch(batch_max);
-        if batch.is_empty() {
-            return;
-        }
-        metrics::SERVE_BATCHES.inc();
-        metrics::SERVE_BATCHED_JOBS.add(batch.len() as u64);
-        metrics::SERVE_BATCH_JOBS.record(batch.len() as u64);
-        // One snapshot per case study per batch: every job in this batch
-        // for a given case sees the same model, even mid-reload.
-        let mut snapshots: [Option<Option<Arc<LoadedModel>>>; 3] = [None, None, None];
-        for job in batch {
-            let slot = match job.query.case() {
-                CaseStudy::ArrayDataflow => 0,
-                CaseStudy::BufferSizing => 1,
-                CaseStudy::MultiArrayScheduling => 2,
-            };
-            let snap = snapshots[slot]
-                .get_or_insert_with(|| hub.get(job.query.case()))
-                .clone();
-            let outcome = answer_job(&job, snap.as_deref(), breakers, fallback);
-            // A dead receiver just means the client hung up; drop silently.
-            job.reply.send(outcome);
-        }
-    }
-}
-
-/// Answers one job: deadline check, breaker admission, panic-isolated
-/// inference, and the degraded-mode fallback when the model is missing or
-/// its circuit is open.
-fn answer_job(
-    job: &Job,
-    model: Option<&LoadedModel>,
-    breakers: &Breakers,
-    fallback: Option<&Oracle>,
-) -> Outcome {
+/// Answers one fallback job: deadline check, then the panic-isolated
+/// oracle search.
+fn answer_fallback(job: &Job, oracle: &Oracle) -> Outcome {
     // A job that already blew its budget waiting in the queue is dropped
     // here: the client has (or is about to) time out, so doing the work
     // would only add load exactly when the server is already behind.
@@ -408,65 +345,18 @@ fn answer_job(
             message: "request deadline expired before execution".into(),
         };
     }
-    let Some(model) = model else {
-        return fallback_or(fallback, job, || Outcome::Err {
-            status: 503,
-            code: "model_not_loaded",
-            message: format!(
-                "no model loaded for case study `{}`",
-                case_name(job.query.case())
-            ),
-        });
-    };
-    let breaker = breakers.infer(job.query.case());
-    match breaker.try_acquire() {
-        Admit::No => fallback_or(fallback, job, || Outcome::Err {
-            status: 503,
-            code: "circuit_open",
-            message: format!(
-                "inference circuit for `{}` is open; retry after cooldown",
-                case_name(job.query.case())
-            ),
-        }),
-        Admit::Yes => {
-            // Panic isolation: a poisoned model or injected panic costs one
-            // 500, never a dead worker thread.
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_inference(model, job)))
-                .unwrap_or_else(|_| Outcome::Err {
-                    status: 500,
-                    code: "inference_panic",
-                    message: "inference panicked; the job was isolated".into(),
-                });
-            // Only 5xx-class outcomes count against the breaker: a 422 for
-            // an infeasible budget is the query's fault, not the model's.
-            let failed = matches!(&outcome, Outcome::Err { status, .. } if *status >= 500);
-            if failed {
-                metrics::SERVE_INFER_FAILURES.inc();
-            }
-            breaker.record(!failed);
-            outcome
-        }
-    }
-}
-
-fn run_inference(model: &LoadedModel, job: &Job) -> Outcome {
-    airchitect_chaos::fail_point!("serve.batch.dispatch");
-    airchitect_chaos::fail_point!("serve.infer", |e: std::io::Error| Outcome::Err {
+    // Panic isolation: a panicking search costs one 500, never a dead
+    // worker thread.
+    catch_unwind(AssertUnwindSafe(|| {
+        airchitect_chaos::fail_point!("serve.batch.dispatch");
+        metrics::SERVE_FALLBACKS.inc();
+        oracle.answer(&job.query, job.topk)
+    }))
+    .unwrap_or_else(|_| Outcome::Err {
         status: 500,
-        code: "inference_failed",
-        message: e.to_string(),
-    });
-    execute(model, &job.query, job.topk)
-}
-
-fn fallback_or(fallback: Option<&Oracle>, job: &Job, otherwise: impl FnOnce() -> Outcome) -> Outcome {
-    match fallback {
-        Some(oracle) => {
-            metrics::SERVE_FALLBACKS.inc();
-            oracle.answer(&job.query, job.topk)
-        }
-        None => otherwise(),
-    }
+        code: "inference_panic",
+        message: "fallback search panicked; the job was isolated".into(),
+    })
 }
 
 fn domain_error(err: &RecommendError) -> Outcome {
@@ -483,8 +373,20 @@ fn domain_error(err: &RecommendError) -> Outcome {
     }
 }
 
-/// Runs one query against one model snapshot and renders the result.
+/// Runs one query against one model snapshot and renders the result:
+/// top-1 (`topk == 0`) or a ranked list with softmax scores, both on the
+/// int8 quantized pass ([`Recommender`](airchitect::Recommender) falls
+/// back to f32 only for a model the quantizer rejected).
+///
+/// The `serve.infer` failpoint fires here, so injected inference faults
+/// (and the breaker accounting the caller does on them) cover every
+/// model answer.
 pub fn execute(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
+    airchitect_chaos::fail_point!("serve.infer", |e: std::io::Error| Outcome::Err {
+        status: 500,
+        code: "inference_failed",
+        message: e.to_string(),
+    });
     let mut tail = String::with_capacity(128);
     tail.push_str("\"generation\":");
     tail.push_str(&model.generation.to_string());
@@ -496,68 +398,46 @@ pub fn execute(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
     let rendered = match (&model.problem, query) {
         (CaseProblem::Array(problem), RecQuery::Array { workload, mac_budget }) => {
             if topk == 0 {
-                rec.recommend_array(problem, workload, *mac_budget).map(
-                    |(array, dataflow)| {
+                rec.recommend_array_fast(problem, workload, *mac_budget)
+                    .map(|(array, dataflow)| {
                         tail.push_str(",\"result\":");
                         render_array(&mut tail, array.rows(), array.cols(), dataflow, None);
-                    },
-                )
+                    })
             } else {
                 rec.recommend_array_topk(problem, workload, *mac_budget, topk)
                     .map(|ranked| {
-                        tail.push_str(",\"results\":[");
-                        for (i, (array, dataflow, score)) in ranked.iter().enumerate() {
-                            if i > 0 {
-                                tail.push(',');
-                            }
-                            render_array(
-                                &mut tail,
-                                array.rows(),
-                                array.cols(),
-                                *dataflow,
-                                Some(*score),
-                            );
-                        }
-                        tail.push(']');
+                        render_ranked(&mut tail, &ranked, |out, (array, dataflow, score)| {
+                            render_array(out, array.rows(), array.cols(), *dataflow, Some(*score));
+                        });
                     })
             }
         }
         (CaseProblem::Buffers(problem), RecQuery::Buffers { query }) => {
             if topk == 0 {
-                rec.recommend_buffers(problem, query).map(|(i, f, o)| {
+                rec.recommend_buffers_fast(problem, query).map(|(i, f, o)| {
                     tail.push_str(",\"result\":");
                     render_buffers(&mut tail, i, f, o, None);
                 })
             } else {
                 rec.recommend_buffers_topk(problem, query, topk).map(|ranked| {
-                    tail.push_str(",\"results\":[");
-                    for (n, (i, f, o, score)) in ranked.iter().enumerate() {
-                        if n > 0 {
-                            tail.push(',');
-                        }
-                        render_buffers(&mut tail, *i, *f, *o, Some(*score));
-                    }
-                    tail.push(']');
+                    render_ranked(&mut tail, &ranked, |out, (i, f, o, score)| {
+                        render_buffers(out, *i, *f, *o, Some(*score));
+                    });
                 })
             }
         }
         (CaseProblem::Schedule(problem), RecQuery::Schedule { workloads }) => {
             if topk == 0 {
-                rec.recommend_schedule(problem, workloads).map(|schedule| {
+                rec.recommend_schedule_fast(problem, workloads).map(|schedule| {
                     tail.push_str(",\"result\":");
                     render_schedule(&mut tail, &schedule, None);
                 })
             } else {
                 rec.recommend_schedule_topk(problem, workloads, topk)
                     .map(|ranked| {
-                        tail.push_str(",\"results\":[");
-                        for (i, (schedule, score)) in ranked.iter().enumerate() {
-                            if i > 0 {
-                                tail.push(',');
-                            }
-                            render_schedule(&mut tail, schedule, Some(*score));
-                        }
-                        tail.push(']');
+                        render_ranked(&mut tail, &ranked, |out, (schedule, score)| {
+                            render_schedule(out, schedule, Some(*score));
+                        });
                     })
             }
         }
@@ -585,67 +465,32 @@ pub fn execute(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
     }
 }
 
-/// Runs one top-1 query inline on the int8-quantized hot path and renders
-/// exactly the body [`execute`] produces for `topk == 0`. This is the
-/// listener's single-query bypass: no queue hop, no micro-batch, no
-/// worker thread — the connection thread answers directly.
-///
-/// The `serve.infer` failpoint fires here as on the batched path, so
-/// injected inference faults (and the breaker accounting the caller does
-/// on them) behave identically in both modes.
+/// The top-1 answer: exactly [`execute`] with `topk == 0`.
 pub fn execute_fast(model: &LoadedModel, query: &RecQuery) -> Outcome {
-    airchitect_chaos::fail_point!("serve.infer", |e: std::io::Error| Outcome::Err {
-        status: 500,
-        code: "inference_failed",
-        message: e.to_string(),
-    });
-    let mut tail = String::with_capacity(128);
-    tail.push_str("\"generation\":");
-    tail.push_str(&model.generation.to_string());
-    tail.push_str(",\"case\":\"");
-    tail.push_str(case_name(model.case));
-    tail.push_str("\",\"source\":\"model\"");
+    execute(model, query, 0)
+}
 
-    let rec = &model.recommender;
-    let rendered = match (&model.problem, query) {
-        (CaseProblem::Array(problem), RecQuery::Array { workload, mac_budget }) => rec
-            .recommend_array_fast(problem, workload, *mac_budget)
-            .map(|(array, dataflow)| {
-                tail.push_str(",\"result\":");
-                render_array(&mut tail, array.rows(), array.cols(), dataflow, None);
-            }),
-        (CaseProblem::Buffers(problem), RecQuery::Buffers { query }) => {
-            rec.recommend_buffers_fast(problem, query).map(|(i, f, o)| {
-                tail.push_str(",\"result\":");
-                render_buffers(&mut tail, i, f, o, None);
-            })
+/// Panic-isolated [`execute`]: a poisoned model costs one 500, never the
+/// shard that hit it.
+pub(crate) fn execute_guarded(model: &LoadedModel, query: &RecQuery, topk: usize) -> Outcome {
+    catch_unwind(AssertUnwindSafe(|| execute(model, query, topk))).unwrap_or_else(|_| {
+        Outcome::Err {
+            status: 500,
+            code: "inference_panic",
+            message: "inference panicked; the request was isolated".into(),
         }
-        (CaseProblem::Schedule(problem), RecQuery::Schedule { workloads }) => {
-            rec.recommend_schedule_fast(problem, workloads).map(|schedule| {
-                tail.push_str(",\"result\":");
-                render_schedule(&mut tail, &schedule, None);
-            })
-        }
-        _ => {
-            return Outcome::Err {
-                status: 503,
-                code: "model_mismatch",
-                message: "loaded model does not match the query's case study".into(),
-            }
-        }
-    };
+    })
+}
 
-    match rendered {
-        Ok(()) => {
-            tail.push_str("}\n");
-            Outcome::Ok {
-                body_tail: tail,
-                generation: model.generation,
-                source: Source::Model,
-            }
+fn render_ranked<T>(out: &mut String, ranked: &[T], mut entry: impl FnMut(&mut String, &T)) {
+    out.push_str(",\"results\":[");
+    for (i, item) in ranked.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        Err(err) => domain_error(&err),
+        entry(out, item);
     }
+    out.push(']');
 }
 
 fn render_score(out: &mut String, score: Option<f32>) {
@@ -715,65 +560,48 @@ pub(crate) fn render_schedule(
 mod tests {
     use super::*;
 
-    fn dummy_job(tag: u64) -> (Job, mpsc::Receiver<Outcome>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            Job {
-                query: RecQuery::Array {
-                    workload: GemmWorkload::new(tag + 1, 64, 64).unwrap(),
-                    mac_budget: 1024,
-                },
-                topk: 0,
-                reply: Reply::Channel(tx),
-                deadline: None,
+    fn dummy_job(tag: u64, completions: &Arc<CompletionQueue>) -> Job {
+        Job {
+            query: RecQuery::Array {
+                workload: GemmWorkload::new(tag + 1, 64, 64).unwrap(),
+                mac_budget: 1024,
             },
-            rx,
-        )
+            topk: 0,
+            reply: Reply {
+                queue: Arc::clone(completions),
+                conn: tag,
+                req: 1,
+            },
+            deadline: None,
+        }
     }
 
     #[test]
     fn full_queue_rejects_immediately() {
+        let c = Arc::new(CompletionQueue::new().unwrap());
         let q = Queue::new(2);
-        let (j1, _r1) = dummy_job(1);
-        let (j2, _r2) = dummy_job(2);
-        let (j3, _r3) = dummy_job(3);
-        q.push(j1).unwrap();
-        q.push(j2).unwrap();
-        assert_eq!(q.push(j3).unwrap_err(), PushError::Full);
+        q.push(dummy_job(1, &c)).unwrap();
+        q.push(dummy_job(2, &c)).unwrap();
+        assert_eq!(q.push(dummy_job(3, &c)).unwrap_err(), PushError::Full);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn zero_depth_rejects_everything() {
+        let c = Arc::new(CompletionQueue::new().unwrap());
         let q = Queue::new(0);
-        let (j, _r) = dummy_job(1);
-        assert_eq!(q.push(j).unwrap_err(), PushError::Full);
+        assert_eq!(q.push(dummy_job(1, &c)).unwrap_err(), PushError::Full);
     }
 
     #[test]
     fn shutdown_refuses_new_work_but_drains_old() {
+        let c = Arc::new(CompletionQueue::new().unwrap());
         let q = Queue::new(8);
-        let (j1, _r1) = dummy_job(1);
-        q.push(j1).unwrap();
+        q.push(dummy_job(1, &c)).unwrap();
         q.shutdown();
-        let (j2, _r2) = dummy_job(2);
-        assert_eq!(q.push(j2).unwrap_err(), PushError::ShuttingDown);
-        assert_eq!(q.pop_batch(16).len(), 1, "queued job survives shutdown");
-        assert!(q.pop_batch(16).is_empty(), "then the exit signal");
-    }
-
-    #[test]
-    fn pop_batch_respects_batch_max() {
-        let q = Queue::new(16);
-        let mut receivers = Vec::new();
-        for i in 0..10 {
-            let (j, r) = dummy_job(i);
-            q.push(j).unwrap();
-            receivers.push(r);
-        }
-        assert_eq!(q.pop_batch(4).len(), 4);
-        assert_eq!(q.pop_batch(4).len(), 4);
-        assert_eq!(q.pop_batch(4).len(), 2);
+        assert_eq!(q.push(dummy_job(2, &c)).unwrap_err(), PushError::ShuttingDown);
+        assert!(q.pop().is_some(), "queued job survives shutdown");
+        assert!(q.pop().is_none(), "then the exit signal");
     }
 
     #[test]
@@ -799,9 +627,9 @@ mod tests {
     fn blocked_pop_wakes_on_shutdown() {
         let q = Arc::new(Queue::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_batch(4));
+        let h = std::thread::spawn(move || q2.pop().is_none());
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.shutdown();
-        assert!(h.join().unwrap().is_empty());
+        assert!(h.join().unwrap());
     }
 }

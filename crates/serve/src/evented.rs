@@ -5,20 +5,19 @@
 //! Each connection moves through a small cycle driven entirely by
 //! readiness: **read** (append to a growing buffer) → **parse**
 //! (incremental [`try_parse`]; partial heads/bodies just wait for more
-//! bytes) → **dispatch** (the same [`handle_request_step`] the threaded
-//! listener uses) → **write** (buffered, flushed as `EPOLLOUT` allows).
-//! A request the dispatcher queues for the batch workers parks the
-//! connection as `pending`; the worker's outcome comes back through the
-//! shard's [`CompletionQueue`], whose eventfd wakes the loop without the
-//! worker ever touching a socket.
+//! bytes) → **dispatch** ([`handle_request_step`], which answers model
+//! requests inline) → **write** (buffered, flushed as `EPOLLOUT` allows).
+//! A request the dispatcher queues for the fallback-search workers parks
+//! the connection as `pending`; the worker's outcome comes back through
+//! the shard's [`CompletionQueue`], whose eventfd wakes the loop without
+//! the worker ever touching a socket.
 //!
 //! Timeouts have no per-socket kernel deadlines here (sockets are
 //! nonblocking), so a periodic sweep enforces them: idle keep-alive
 //! connections close at the read timeout, stalled writers at the write
 //! timeout, and a pending request whose deadline passes is answered 504
 //! *by the shard* — the worker's late outcome is then discarded by
-//! request-id mismatch, which is exactly the semantics the chaos suite
-//! pins for the threaded path (timely 504 even with a stuck worker).
+//! request-id mismatch, so a stuck oracle still gets a timely 504.
 
 #![cfg(target_os = "linux")]
 
@@ -165,14 +164,13 @@ pub(crate) fn run_shards(seeds: Vec<ShardSeed>, inner: &Arc<Inner>) -> Result<()
     result
 }
 
-/// A request whose outcome is owed by the batch workers.
+/// A request whose outcome is owed by the fallback workers.
 struct PendingReply {
     /// Request id this connection is waiting on; a completion with any
     /// other id (a post-timeout straggler) is discarded.
     req: u64,
     started: Instant,
     deadline: Option<Instant>,
-    cache_key: Vec<u8>,
     keep_alive: bool,
 }
 
@@ -354,10 +352,9 @@ impl Shard {
             }
             if inner.shutdown.load(Ordering::Acquire) && self.conns.live == 0 {
                 // Drain complete. Connections owed a response closed when
-                // it flushed; idle keep-alive connections got the same
+                // it flushed; idle keep-alive connections got a
                 // read-timeout window to submit one last request (answered
-                // 503 draining) that the threaded listener's join gives
-                // them, then the sweep closed them.
+                // 503 draining), then the sweep closed them.
                 return Ok(());
             }
         }
@@ -366,7 +363,7 @@ impl Shard {
     /// Accepts up to [`ACCEPT_BATCH`] sockets. Transient errors back off
     /// briefly and rely on level-triggered epoll to re-report readiness;
     /// a persistent streak (> [`MAX_ACCEPT_ERRORS`]) is fatal for the
-    /// shard, mirroring the threaded accept loop.
+    /// shard.
     fn accept_burst(&mut self, inner: &Arc<Inner>) -> Result<(), ServeError> {
         for _ in 0..ACCEPT_BATCH {
             #[allow(clippy::redundant_closure_call)]
@@ -378,8 +375,7 @@ impl Shard {
                 Ok((stream, _)) => {
                     self.accept_errors = 0;
                     if inner.shutdown.load(Ordering::Acquire) {
-                        // Draining: the socket closes without a response,
-                        // exactly like the threaded wake-up connection.
+                        // Draining: the socket closes without a response.
                         drop(stream);
                         continue;
                     }
@@ -483,7 +479,7 @@ impl Shard {
     }
 
     /// Reads until `WouldBlock` or EOF. `Err(())` means a socket error —
-    /// close without ceremony, like the threaded path.
+    /// close without ceremony.
     fn fill_read_buf(&mut self, idx: usize) -> Result<(), ()> {
         let Some(conn) = self.conns.get_mut(idx) else {
             return Err(());
@@ -507,9 +503,8 @@ impl Shard {
     }
 
     /// Parses and dispatches as many buffered requests as possible.
-    /// Strictly serial per connection (like the threaded loop): nothing
-    /// parses while a response is pending or unflushed, so pipelined
-    /// requests are answered in order.
+    /// Strictly serial per connection: nothing parses while a response is
+    /// pending or unflushed, so pipelined requests are answered in order.
     fn process_buffer(&mut self, idx: usize, inner: &Arc<Inner>) {
         loop {
             let parse = {
@@ -579,29 +574,22 @@ impl Shard {
             (conn.token, req_id)
         };
         let completions = Arc::clone(&self.completions);
-        let (step, wants_shutdown) = handle_request_step(request, inner, &mut || {
-            Reply::Completion {
-                queue: Arc::clone(&completions),
-                conn: token,
-                req: req_id,
-            }
+        let (step, wants_shutdown) = handle_request_step(request, inner, &mut || Reply {
+            queue: Arc::clone(&completions),
+            conn: token,
+            req: req_id,
         });
         match step {
             Step::Respond(resp) => {
                 let draining = wants_shutdown || inner.shutdown.load(Ordering::Acquire);
                 self.respond(idx, &resp, request.keep_alive && !draining);
             }
-            Step::Queued {
-                started,
-                deadline,
-                cache_key,
-            } => {
+            Step::Queued { started, deadline } => {
                 if let Some(conn) = self.conns.get_mut(idx) {
                     conn.pending = Some(PendingReply {
                         req: req_id,
                         started,
                         deadline,
-                        cache_key,
                         keep_alive: request.keep_alive,
                     });
                 }
@@ -696,7 +684,7 @@ impl Shard {
         }
     }
 
-    /// Delivers worker outcomes to their connections. The eventfd is
+    /// Delivers fallback-worker outcomes to their connections. The eventfd is
     /// drained *before* the entries: a producer that pushes after the
     /// eventfd drain either lands in this entry drain or re-arms the
     /// eventfd for the next tick — either way nothing is lost.
@@ -717,10 +705,7 @@ impl Shard {
                 }
                 conn.pending.take().expect("checked above")
             };
-            let resp = record_latency(
-                pending.started,
-                outcome_response(outcome, pending.cache_key, inner),
-            );
+            let resp = record_latency(pending.started, outcome_response(outcome, None, inner));
             let keep_alive = pending.keep_alive && !inner.shutdown.load(Ordering::Acquire);
             self.respond(idx, &resp, keep_alive);
             if self.conns.index_of(token).is_some() {

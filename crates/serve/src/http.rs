@@ -4,7 +4,7 @@
 //! encoding, no TLS, no multiplexing.
 //!
 //! Two parsing front-ends share one grammar: [`read_request`] blocks on a
-//! `BufRead` (threaded listener, cluster proxy, test clients) and
+//! `BufRead` (cluster proxy, test clients) and
 //! [`try_parse`] makes a resumable attempt over whatever bytes a
 //! nonblocking socket has delivered so far (evented listener). Both route
 //! every request line and header through the same `Head` builder, so the

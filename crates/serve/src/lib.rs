@@ -6,13 +6,15 @@
 //! The socket handling is deliberately boring; the subsystem is the serving
 //! machinery around it:
 //!
-//! * **Admission control** ([`batch::Queue`]) — a bounded request queue.
-//!   When it is full, recommendation requests are rejected immediately with
-//!   `429 Too Many Requests` and a `Retry-After` header instead of piling
-//!   latency onto every queued caller.
-//! * **Micro-batching** ([`batch`]) — a fixed pool of worker threads drains
-//!   the queue in batches, snapshots the current model once per batch, and
-//!   answers every job in the batch from that snapshot.
+//! * **One serving path** ([`batch::execute`]) — every model request,
+//!   top-1 and ranked (`topk`), is answered inline on the event-loop shard
+//!   that parsed it, on the int8 quantized network. A served answer
+//!   depends only on the query and the model version, never on load.
+//! * **Admission control** ([`batch::Queue`]) — the `--fallback search`
+//!   oracle is the only work that leaves the shards: its jobs go through
+//!   a bounded queue to a small worker pool (spawned only with the
+//!   fallback). When the queue is full they are rejected immediately with
+//!   `429 Too Many Requests` and a `Retry-After` header.
 //! * **Response caching** ([`cache`]) — an LRU keyed on the canonicalized
 //!   query (exact integer parameters, not the JSON text), with hit/miss
 //!   counters in the telemetry registry. Entries are stamped with the model
@@ -20,21 +22,20 @@
 //!   the whole cache without racing in-flight insertions.
 //! * **Hot reload** ([`reload::ModelHub`]) — `POST /v1/reload` re-reads the
 //!   registered model files (checksum-verified by the `AIRM` codec) and
-//!   atomically swaps an `Arc` per case study. In-flight batches finish on
-//!   the model they snapshotted; no request ever mixes two models.
-//! * **Evented c10k core** ([`listener`], `evented`, `reactor`) — on
-//!   Linux the default listener is N event-loop shards, each with its own
-//!   `SO_REUSEPORT` acceptor and epoll reactor driving nonblocking
-//!   connection state machines; batch-worker replies re-arm their
-//!   connection through a completion queue + eventfd wakeup. The legacy
-//!   thread-per-connection listener stays behind `--threaded` (and is the
-//!   only mode off-Linux). Both share one dispatch path, so admission
-//!   control, deadlines, breakers, caching, bypass, and chaos semantics
-//!   are identical.
+//!   atomically swaps an `Arc` per case study. A request in flight
+//!   finishes on the model it snapshotted; no answer ever mixes two
+//!   models.
+//! * **Evented c10k core** ([`listener`], `evented`, `reactor`) — N
+//!   event-loop shards, each with its own `SO_REUSEPORT` acceptor and
+//!   epoll reactor driving nonblocking connection state machines;
+//!   fallback-worker replies re-arm their connection through a completion
+//!   queue + eventfd wakeup. `serve` is Linux-only: [`Server::bind`]
+//!   refuses other platforms with [`ServeError::Config`]. The offline
+//!   commands stay portable.
 //! * **Graceful shutdown** ([`listener`]) — `POST /v1/shutdown` stops the
-//!   accept loop, lets the workers drain the queue, joins every connection
-//!   thread (or shard), and returns from [`Server::run`] so the process
-//!   can exit 0.
+//!   shards' acceptors, lets the fallback workers drain their queue, joins
+//!   every shard and worker, and returns from [`Server::run`] so the
+//!   process can exit 0.
 //! * **Cluster mode** ([`supervisor`], [`ring`], [`proxy`]) — `serve
 //!   --cluster` supervises N single-process replicas as child processes
 //!   (health probes, exponential-backoff restarts, restart-storm caps) and
@@ -95,13 +96,12 @@ pub struct ServeConfig {
     /// Trained `.airm` model files, at most one per case study. The paths
     /// are remembered for hot-reload.
     pub model_paths: Vec<PathBuf>,
-    /// Inference worker threads draining the queue.
+    /// Fallback-search worker threads draining the queue (spawned only
+    /// with `fallback_search`).
     pub workers: usize,
-    /// Bounded queue depth; a full queue rejects with 429. Zero rejects
-    /// every uncached request (useful for admission-control testing).
+    /// Bounded fallback-queue depth; a full queue rejects with 429. Zero
+    /// rejects every fallback job (useful for admission-control testing).
     pub queue_depth: usize,
-    /// Maximum jobs drained into one micro-batch.
-    pub batch_max: usize,
     /// LRU response-cache capacity in entries; zero disables caching.
     pub cache_capacity: usize,
     /// Idle keep-alive / read timeout per connection, seconds. Also bounds
@@ -109,7 +109,7 @@ pub struct ServeConfig {
     pub read_timeout_secs: u64,
     /// Socket write timeout per connection, seconds; zero disables it. A
     /// reader that stops draining its socket cannot pin a connection
-    /// thread forever.
+    /// forever.
     pub write_timeout_secs: u64,
     /// Default end-to-end request budget in milliseconds; zero disables
     /// server-side deadlines. Clients may tighten (never extend) it per
@@ -125,26 +125,14 @@ pub struct ServeConfig {
     /// Degraded-mode serving: when a case's circuit is open or its model
     /// failed to load at startup, answer from the exhaustive-search oracle
     /// (`"source":"search"` + `Warning` header) instead of a 5xx. Also
-    /// makes startup tolerate per-model load failures.
+    /// makes startup tolerate per-model load failures, and is the only
+    /// setting that spawns the worker pool.
     pub fallback_search: bool,
-    /// Single-query bypass: when the queue is empty, answer top-1
-    /// requests inline on the int8-quantized hot path instead of taking
-    /// the micro-batch round-trip. Model-source answers only — missing
-    /// models, open circuits, ranked (`topk`) queries, and models the
-    /// quantizer rejected all take the queue path unchanged. Disable to
-    /// force every request through the queue (admission-control tests).
-    pub single_query_bypass: bool,
-    /// Event-loop shards for the evented listener (each gets its own
-    /// `SO_REUSEPORT` acceptor and epoll reactor); zero auto-selects from
-    /// the CPU count. Ignored in threaded mode.
+    /// Event-loop shards (each gets its own `SO_REUSEPORT` acceptor and
+    /// epoll reactor); zero auto-selects from the CPU count.
     pub event_loops: usize,
-    /// Use the legacy thread-per-connection listener instead of the
-    /// evented one. Forced on for non-Linux targets (the reactor is built
-    /// on epoll). Defaults to the `AIRCHITECT_SERVE_THREADED` environment
-    /// variable so one test binary can exercise both listeners.
-    pub threaded: bool,
-    /// Opt-in `TCP_NODELAY` on accepted sockets (both listener modes):
-    /// trades Nagle batching for first-byte latency on small responses.
+    /// Opt-in `TCP_NODELAY` on accepted sockets: trades Nagle batching
+    /// for first-byte latency on small responses.
     /// Defaults to the `AIRCHITECT_SERVE_NODELAY` environment variable.
     pub nodelay: bool,
     /// Shadow-oracle sampling rate in `0.0..=1.0`; zero disables the
@@ -159,7 +147,7 @@ pub struct ServeConfig {
     /// `serve.shadow.dropped`) rather than delaying requests.
     pub shadow_queue_depth: usize,
     /// Dedicated low-priority shadow worker threads (never borrowed from
-    /// the batch-worker pool).
+    /// the fallback-worker pool).
     pub shadow_threads: usize,
     /// Versioned model registry directory (`--model-dir`). When set and
     /// `model_paths` is empty, the server boots from the registry's
@@ -168,8 +156,9 @@ pub struct ServeConfig {
     pub model_dir: Option<PathBuf>,
     /// Canary traffic split in `0.0..=1.0`; zero keeps the legacy
     /// immediate-swap reload. With a split, `/v1/reload` stages the
-    /// candidate and this fraction of single-query traffic is answered by
-    /// it (compared against the incumbent) until the gates decide.
+    /// candidate and this fraction of uncached model traffic, top-1 and
+    /// ranked, is answered by it (compared against the incumbent) until
+    /// the gates decide.
     pub canary_split: f64,
     /// Compared samples required before the canary gates are judged.
     pub canary_min_samples: u64,
@@ -189,7 +178,6 @@ impl Default for ServeConfig {
             model_paths: Vec::new(),
             workers: 2,
             queue_depth: 256,
-            batch_max: 16,
             cache_capacity: 4096,
             read_timeout_secs: 5,
             write_timeout_secs: 5,
@@ -197,9 +185,7 @@ impl Default for ServeConfig {
             breaker_threshold: 5,
             breaker_cooldown_ms: 1000,
             fallback_search: false,
-            single_query_bypass: true,
             event_loops: 0,
-            threaded: std::env::var_os("AIRCHITECT_SERVE_THREADED").is_some_and(|v| v != "0"),
             nodelay: std::env::var_os("AIRCHITECT_SERVE_NODELAY").is_some_and(|v| v != "0"),
             shadow_rate: 0.0,
             shadow_dir: None,
@@ -218,7 +204,8 @@ impl Default for ServeConfig {
 /// Error produced when configuring, binding, or running a server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// Invalid configuration (no models, zero workers, ...).
+    /// Invalid configuration (no models, zero workers, a non-Linux host,
+    /// ...).
     Config(String),
     /// A model file failed to load or validate.
     Model(String),

@@ -1,48 +1,44 @@
-//! The server: accept handling, request dispatch, and the graceful
-//! drain-then-exit shutdown sequence — in two listener modes sharing one
-//! dispatch path.
+//! The server: request dispatch and the graceful drain-then-exit shutdown
+//! sequence around the evented listener.
 //!
-//! * **Evented** (default on Linux): N event-loop shards, each with its
-//!   own `SO_REUSEPORT` acceptor and epoll reactor ([`crate::evented`]).
-//!   Connections are nonblocking state machines; batch-worker replies
-//!   come back through a completion queue + eventfd wake.
-//! * **Threaded** (`--threaded`, and the only mode off-Linux): one OS
-//!   thread per connection, with a timer-based reaper so finished handles
-//!   are released without waiting for the next accept.
-//!
-//! Both modes call [`handle_request_step`] for every request, so routing,
-//! admission control, deadlines, breakers, caching, bypass, and chaos
-//! semantics are decided in exactly one place.
+//! N event-loop shards, each with its own `SO_REUSEPORT` acceptor and
+//! epoll reactor ([`crate::evented`]), parse requests and call
+//! [`handle_request_step`] for every one, so routing, admission control,
+//! deadlines, breakers, caching, canary sampling, and chaos semantics are
+//! decided in exactly one place. Model answers are computed inline on the
+//! shard; only `--fallback search` jobs leave it, for the worker pool in
+//! [`crate::batch`]. `serve` is Linux-only: the reactor is built on epoll.
 //!
 //! Shutdown protocol (`POST /v1/shutdown`):
 //!
 //! 1. the handling connection gets its `200` *before* anything stops;
 //! 2. the shutdown flag flips, so every connection closes after its
-//!    in-flight request and the accept paths stop admitting sockets;
-//! 3. the queue stops admitting jobs but drains what it holds; workers
-//!    exit once it is empty;
-//! 4. [`Server::run`] joins every worker and connection (thread or
-//!    shard) and returns `Ok`, letting the process exit 0.
+//!    in-flight request and the shards stop admitting sockets;
+//! 3. the fallback queue stops admitting jobs but drains what it holds;
+//!    its workers exit once it is empty;
+//! 4. [`Server::run`] joins every shard and worker and returns `Ok`,
+//!    letting the process exit 0.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use airchitect_telemetry::metrics;
 
-use crate::batch::{spawn_workers, CompletionQueue, Job, PushError, Queue, Reply, Source};
+use crate::batch::{
+    execute_guarded, spawn_workers, CompletionQueue, Job, Outcome, PushError, Queue, Reply,
+    Source,
+};
 use crate::breaker::{Admit, Breakers};
 use crate::cache::{CachedResponse, LruCache};
 use crate::canary::{Rollout, RolloutConfig};
 use crate::fallback::{self, Oracle};
-use crate::http::{read_request, write_response, ReadError, Request, Response};
+use crate::http::{Request, Response};
 use crate::registry::{Registry, DEFAULT_RETAIN};
-use crate::reload::ModelHub;
-use crate::router::{self, Route};
+use crate::reload::{case_name, ModelHub};
+use crate::router::{self, ParsedQuery, Route};
 use crate::{ServeConfig, ServeError};
 
 /// Hard ceiling on any effective deadline (10 minutes): an absurd
@@ -50,51 +46,9 @@ use crate::{ServeConfig, ServeError};
 const MAX_DEADLINE_MS: u64 = 600_000;
 
 /// Consecutive accept failures tolerated (with backoff) before an accept
-/// path gives up. Transient errors — EMFILE pressure, injected faults —
+/// path (a shard, or the cluster router's loop) gives up. Transient errors — EMFILE pressure, injected faults —
 /// should never kill an otherwise healthy server.
 pub(crate) const MAX_ACCEPT_ERRORS: u32 = 64;
-
-/// How often the threaded listener's reaper sweeps finished connection
-/// handles.
-const REAP_INTERVAL: Duration = Duration::from_millis(200);
-
-/// One step of a blocking accept loop shared by the threaded server and
-/// the cluster router: transient failures back off and retry (pending
-/// connections stay in the kernel backlog), a persistent streak errors
-/// out, and a failure observed while `shutdown` is set ends the loop
-/// cleanly. Returns `Ok(None)` for "stop accepting".
-pub(crate) fn accept_with_retry(
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
-    errors: &mut u32,
-    point: &'static str,
-) -> Result<Option<(TcpStream, SocketAddr)>, ServeError> {
-    loop {
-        // The closure gives the failpoint's injected error an early
-        // return target without leaving the loop.
-        #[allow(clippy::redundant_closure_call)]
-        let attempt = (|| {
-            airchitect_chaos::fail_point!(point, Err);
-            listener.accept()
-        })();
-        match attempt {
-            Ok(pair) => {
-                *errors = 0;
-                return Ok(Some(pair));
-            }
-            Err(e) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-                *errors += 1;
-                if *errors > MAX_ACCEPT_ERRORS {
-                    return Err(ServeError::Io(format!("accept: {e}")));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
 
 /// Per-shard counters for the evented listener, surfaced as
 /// `serve.shard.N.*` lines in `/metrics`.
@@ -116,38 +70,26 @@ pub(crate) struct ShardHandle {
     pub(crate) completions: Arc<CompletionQueue>,
 }
 
-/// State shared by every accept path and connection.
+/// State shared by every shard and connection.
 pub(crate) struct Inner {
     pub(crate) hub: Arc<ModelHub>,
-    pub(crate) queue: Arc<Queue>,
+    /// Fallback-search jobs for the worker pool; `None` without
+    /// `--fallback search` (no pool is spawned).
+    pub(crate) fallback: Option<Arc<Queue>>,
     pub(crate) cache: Mutex<LruCache>,
     pub(crate) breakers: Arc<Breakers>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) read_timeout: Option<Duration>,
     pub(crate) write_timeout: Option<Duration>,
     pub(crate) deadline_ms: u64,
-    pub(crate) bypass: bool,
-    /// Opt-in `TCP_NODELAY` on accepted sockets (both listener modes).
+    /// Opt-in `TCP_NODELAY` on accepted sockets.
     pub(crate) nodelay: bool,
     /// Shadow-oracle sampling pipeline; `None` when disabled.
     pub(crate) shadow: Option<Arc<crate::shadow::ShadowState>>,
     /// Canary rollout controller (inert when the split is zero and no
     /// registry is attached, but always present so dispatch is uniform).
     pub(crate) rollout: Rollout,
-    /// Evented shards (empty in threaded mode).
     pub(crate) shards: Vec<ShardHandle>,
-    /// Live connection threads (zero in evented mode).
-    pub(crate) threaded_open: AtomicU64,
-}
-
-enum Mode {
-    Threaded {
-        listener: TcpListener,
-    },
-    #[cfg(target_os = "linux")]
-    Evented {
-        shards: Vec<crate::evented::ShardSeed>,
-    },
 }
 
 /// A bound, ready-to-run inference server. Dropping it without calling
@@ -157,12 +99,13 @@ pub struct Server {
     addr: SocketAddr,
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    mode: Mode,
-    event_loops: usize,
+    #[cfg(target_os = "linux")]
+    shards: Vec<crate::evented::ShardSeed>,
 }
 
 impl Server {
-    /// Loads the models, binds the socket(s), and starts the worker pool.
+    /// Loads the models, binds one socket per shard, and (with
+    /// `fallback_search`) starts the fallback worker pool.
     /// Also enables telemetry recording (the serve counters are the
     /// product surface of `/metrics`).
     ///
@@ -171,6 +114,11 @@ impl Server {
     /// Returns [`ServeError`] for bad configuration, model load failures,
     /// or bind failures.
     pub fn bind(config: &ServeConfig) -> Result<Self, ServeError> {
+        if !cfg!(target_os = "linux") {
+            return Err(ServeError::Config(
+                "`serve` is Linux-only: its listener is built on epoll".into(),
+            ));
+        }
         airchitect_telemetry::enable();
         // Registry mode: boot from the stable `current.airm` copy so a
         // restart (even one SIGKILLed mid-rollout) lands on the version
@@ -226,70 +174,53 @@ impl Server {
             config.breaker_threshold,
             Duration::from_millis(config.breaker_cooldown_ms),
         ));
-        let fallback = config.fallback_search.then(|| Arc::new(Oracle::new()));
 
         #[cfg(target_os = "linux")]
-        let use_evented = !config.threaded;
-        #[cfg(not(target_os = "linux"))]
-        let use_evented = false;
-
-        let (mode, addr, shard_handles, event_loops) = if use_evented {
-            #[cfg(target_os = "linux")]
-            {
-                let seeds = crate::evented::bind_shards(config)?;
-                let addr = seeds[0].addr;
-                let handles = seeds
-                    .iter()
-                    .map(|s| ShardHandle {
-                        stats: Arc::clone(&s.stats),
-                        completions: Arc::clone(&s.completions),
-                    })
-                    .collect::<Vec<_>>();
-                let n = seeds.len();
-                (Mode::Evented { shards: seeds }, addr, handles, n)
-            }
-            #[cfg(not(target_os = "linux"))]
-            unreachable!("evented mode is Linux-only")
-        } else {
-            let listener = TcpListener::bind(&config.addr)
-                .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-            (Mode::Threaded { listener }, addr, Vec::new(), 0)
-        };
-
-        let queue = Arc::new(Queue::new(config.queue_depth));
-        let workers = spawn_workers(
-            config.workers,
-            config.batch_max,
-            Arc::clone(&queue),
-            Arc::clone(&hub),
-            Arc::clone(&breakers),
-            fallback,
+        let shards = crate::evented::bind_shards(config)?;
+        #[cfg(target_os = "linux")]
+        let (addr, shard_handles) = (
+            shards[0].addr,
+            shards
+                .iter()
+                .map(|s| ShardHandle {
+                    stats: Arc::clone(&s.stats),
+                    completions: Arc::clone(&s.completions),
+                })
+                .collect(),
         );
+        #[cfg(not(target_os = "linux"))]
+        let (addr, shard_handles): (SocketAddr, Vec<ShardHandle>) =
+            unreachable!("refused above");
+
+        // The worker pool exists only to run the search oracle off the
+        // shards: a CS3 exhaustive search costs about a millisecond.
+        let (fallback, workers) = if config.fallback_search {
+            let queue = Arc::new(Queue::new(config.queue_depth));
+            let workers = spawn_workers(config.workers, Arc::clone(&queue), Arc::new(Oracle::new()));
+            (Some(queue), workers)
+        } else {
+            (None, Vec::new())
+        };
         let secs_opt = |secs: u64| (secs > 0).then(|| Duration::from_secs(secs));
         Ok(Self {
             addr,
             inner: Arc::new(Inner {
                 hub,
-                queue,
+                fallback,
                 cache: Mutex::new(LruCache::new(config.cache_capacity)),
                 breakers,
                 shutdown: AtomicBool::new(false),
                 read_timeout: secs_opt(config.read_timeout_secs),
                 write_timeout: secs_opt(config.write_timeout_secs),
                 deadline_ms: config.deadline_ms,
-                bypass: config.single_query_bypass,
                 nodelay: config.nodelay,
                 shadow: crate::shadow::ShadowState::start(config)?,
                 rollout,
                 shards: shard_handles,
-                threaded_open: AtomicU64::new(0),
             }),
             workers,
-            mode,
-            event_loops,
+            #[cfg(target_os = "linux")]
+            shards,
         })
     }
 
@@ -298,49 +229,29 @@ impl Server {
         self.addr
     }
 
-    /// Number of event-loop shards (0 in threaded mode).
+    /// Number of event-loop shards.
     pub fn event_loops(&self) -> usize {
-        self.event_loops
+        self.inner.shards.len()
     }
 
     /// Serves until `POST /v1/shutdown`, then drains and joins everything.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] only for accept failures; per-connection
-    /// errors are handled inside their own thread or shard.
+    /// Returns [`ServeError::Io`] only for accept or poller failures;
+    /// per-connection errors are handled inside their shard.
     pub fn run(self) -> Result<(), ServeError> {
-        let Server {
-            addr,
-            inner,
-            mut workers,
-            mode,
-            ..
-        } = self;
-        let result = match mode {
-            Mode::Threaded { listener } => {
-                let connections = ReapedSet::start(REAP_INTERVAL);
-                let result = run_threaded_accept(&listener, &inner, &connections);
-                // Drain: no new jobs, workers exit when the queue is
-                // empty, then every connection thread is joined.
-                inner.queue.shutdown();
-                for handle in workers.drain(..) {
-                    let _ = handle.join();
-                }
-                connections.finish();
-                let _ = addr; // threaded shutdown self-connects via `initiate_shutdown`
-                result
-            }
-            #[cfg(target_os = "linux")]
-            Mode::Evented { shards } => {
-                let result = crate::evented::run_shards(shards, &inner);
-                inner.queue.shutdown();
-                for handle in workers.drain(..) {
-                    let _ = handle.join();
-                }
-                result
-            }
-        };
+        #[cfg(target_os = "linux")]
+        let result = crate::evented::run_shards(self.shards, &self.inner);
+        #[cfg(not(target_os = "linux"))]
+        let result = Ok(());
+        let inner = self.inner;
+        if let Some(queue) = &inner.fallback {
+            queue.shutdown();
+        }
+        for handle in self.workers {
+            let _ = handle.join();
+        }
         // Drain the shadow pool last: in-flight oracle records land in the
         // log (with their end line) before the process exits.
         if let Some(shadow) = &inner.shadow {
@@ -350,192 +261,19 @@ impl Server {
     }
 }
 
-fn run_threaded_accept(
-    listener: &TcpListener,
-    inner: &Arc<Inner>,
-    connections: &ReapedSet,
-) -> Result<(), ServeError> {
-    let mut accept_errors = 0u32;
-    loop {
-        let (stream, _) = match accept_with_retry(
-            listener,
-            &inner.shutdown,
-            &mut accept_errors,
-            "serve.listener.accept",
-        )? {
-            Some(pair) => pair,
-            None => return Ok(()),
-        };
-        if inner.shutdown.load(Ordering::Acquire) {
-            // The wake-up connection (or a late client); don't serve it.
-            return Ok(());
-        }
-        let inner = Arc::clone(inner);
-        connections.push(
-            std::thread::Builder::new()
-                .name("serve-conn".into())
-                .spawn(move || handle_connection(stream, &inner))
-                .expect("spawn connection thread"),
-        );
-    }
-}
-
-/// Connection-thread handles for the threaded listener, reaped on a
-/// timer. The accept loop used to sweep finished handles only on the
-/// *next* accept, so an idle server after a burst held every handle until
-/// shutdown; the background sweeper releases them within
-/// [`REAP_INTERVAL`] regardless of traffic, and a hard in-push bound
-/// covers bursts faster than the timer.
-pub(crate) struct ReapedSet {
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    stop: Arc<AtomicBool>,
-    sweeper: Option<JoinHandle<()>>,
-}
-
-/// Sweep immediately (without waiting for the timer) once this many
-/// handles are held.
-const REAP_PUSH_BOUND: usize = 1024;
-
-impl ReapedSet {
-    /// Starts the background sweeper.
-    pub(crate) fn start(interval: Duration) -> Self {
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let stop = Arc::new(AtomicBool::new(false));
-        let sweeper = {
-            let handles = Arc::clone(&handles);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("serve-reaper".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(interval);
-                        let mut held = handles.lock().expect("reaper poisoned");
-                        held.retain(|h| !h.is_finished());
-                        metrics::SERVE_CONN_THREADS.set(held.len() as f64);
-                    }
-                })
-                .expect("spawn reaper thread")
-        };
-        Self {
-            handles,
-            stop,
-            sweeper: Some(sweeper),
-        }
-    }
-
-    /// Tracks one connection thread.
-    pub(crate) fn push(&self, handle: JoinHandle<()>) {
-        let mut held = self.handles.lock().expect("reaper poisoned");
-        held.push(handle);
-        if held.len() >= REAP_PUSH_BOUND {
-            held.retain(|h| !h.is_finished());
-        }
-    }
-
-    /// Currently held handles (finished ones linger until the next sweep).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.handles.lock().expect("reaper poisoned").len()
-    }
-
-    /// Stops the sweeper and joins every remaining connection thread.
-    pub(crate) fn finish(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(sweeper) = self.sweeper.take() {
-            let _ = sweeper.join();
-        }
-        let handles = std::mem::take(&mut *self.handles.lock().expect("reaper poisoned"));
-        for handle in handles {
-            let _ = handle.join();
-        }
-        metrics::SERVE_CONN_THREADS.set(0.0);
-    }
-}
-
-/// Flips the shutdown flag and unblocks whichever accept path is active:
-/// the threaded loop by connecting to ourselves (std has no way to
-/// interrupt a blocking `accept`), the evented shards by waking their
-/// loops.
-fn initiate_shutdown(inner: &Inner, addr: SocketAddr) {
-    inner.shutdown.store(true, Ordering::Release);
-    for shard in &inner.shards {
-        shard.completions.wake();
-    }
-    if inner.shards.is_empty() {
-        let _ = TcpStream::connect(addr);
-    }
-}
-
-struct OpenGuard<'a>(&'a Inner);
-
-impl Drop for OpenGuard<'_> {
-    fn drop(&mut self) {
-        self.0.threaded_open.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn handle_connection(stream: TcpStream, inner: &Inner) {
-    inner.threaded_open.fetch_add(1, Ordering::Relaxed);
-    let _open = OpenGuard(inner);
-    if inner.nodelay {
-        let _ = stream.set_nodelay(true);
-    }
-    let _ = stream.set_read_timeout(inner.read_timeout);
-    let _ = stream.set_write_timeout(inner.write_timeout);
-    let local = match stream.local_addr() {
-        Ok(a) => a,
-        Err(_) => return,
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Drop the connection as if the socket failed (chaos only).
-        airchitect_chaos::fail_point!("serve.conn.read", |_e: std::io::Error| ());
-        let request = match read_request(&mut reader) {
-            Ok(r) => r,
-            Err(ReadError::Closed | ReadError::TimedOut | ReadError::Io(_)) => return,
-            Err(ReadError::Bad { status, reason }) => {
-                let resp = Response::error(status, "bad_request", &reason);
-                let _ = write_response(&mut writer, &resp, false);
-                return;
-            }
-        };
-        let (response, wants_shutdown) = handle_request(&request, inner);
-        // Once draining, finish this response and close the connection.
-        let draining = wants_shutdown || inner.shutdown.load(Ordering::Acquire);
-        let keep_alive = request.keep_alive && !draining;
-        airchitect_chaos::fail_point!("serve.conn.write", |_e: std::io::Error| ());
-        if write_response(&mut writer, &response, keep_alive).is_err() {
-            return;
-        }
-        if wants_shutdown {
-            initiate_shutdown(inner, local);
-        }
-        if !keep_alive {
-            return;
-        }
-    }
-}
-
 /// How one request resolves from the caller's point of view.
 pub(crate) enum Step {
     /// The response is ready — nothing was queued.
     Respond(Response),
-    /// The request was queued; the worker's outcome will arrive on the
-    /// [`Reply`] built by the dispatch call. The caller owns waiting (or
-    /// not blocking) and must frame the outcome with
-    /// [`outcome_response`], record `serve.request_us`, and answer 504 /
-    /// draining itself if the deadline passes or the queue drains first.
+    /// A fallback job was queued; the worker's outcome will arrive on the
+    /// [`Reply`] built by the dispatch call. The caller must frame it
+    /// with [`outcome_response`], record `serve.request_us`, and answer
+    /// 504 itself if the deadline passes first.
     Queued {
         /// When request handling started (for the latency histogram).
         started: Instant,
         /// Absolute deadline, if one applies.
         deadline: Option<Instant>,
-        /// Cache key for a successful model answer.
-        cache_key: Vec<u8>,
     },
 }
 
@@ -571,66 +309,14 @@ pub(crate) fn handle_request_step(
     }
 }
 
-/// Blocking dispatch for the threaded listener: runs the shared step,
-/// then waits out a queued reply on the connection thread.
-fn handle_request(request: &Request, inner: &Inner) -> (Response, bool) {
-    let mut rx_slot: Option<mpsc::Receiver<crate::batch::Outcome>> = None;
-    let (step, wants_shutdown) = handle_request_step(request, inner, &mut || {
-        let (tx, rx) = mpsc::channel();
-        rx_slot = Some(rx);
-        Reply::Channel(tx)
-    });
-    let response = match step {
-        Step::Respond(resp) => resp,
-        Step::Queued {
-            started,
-            deadline,
-            cache_key,
-        } => {
-            let rx = rx_slot.take().expect("queued dispatch built a reply");
-            await_reply(&rx, started, deadline, cache_key, inner)
-        }
-    };
-    (response, wants_shutdown)
-}
-
-/// Waits for the worker, but never past the deadline: the 504 is answered
-/// on time even if the worker is stuck on an injected stall. Records the
-/// request latency on every terminal path.
-fn await_reply(
-    rx: &mpsc::Receiver<crate::batch::Outcome>,
-    started: Instant,
-    deadline: Option<Instant>,
-    cache_key: Vec<u8>,
-    inner: &Inner,
-) -> Response {
-    let outcome = match deadline {
-        None => match rx.recv() {
-            Ok(o) => o,
-            // Workers only exit during shutdown, after draining the queue.
-            Err(_) => return record_latency(started, draining()),
-        },
-        Some(d) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
-            Ok(o) => o,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return record_latency(started, deadline_exceeded())
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return record_latency(started, draining())
-            }
-        },
-    };
-    record_latency(started, outcome_response(outcome, cache_key, inner))
-}
-
 /// `/metrics` body: the telemetry registry plus the listener's live
 /// connection accounting — an aggregate `serve.open_connections` line and
-/// per-shard `serve.shard.N.*` gauges in evented mode (the same manual
-/// append pattern the cluster router uses for per-replica series).
+/// per-shard `serve.shard.N.*` gauges (the same manual append pattern the
+/// cluster router uses for per-replica series).
 fn render_metrics_response(inner: &Inner) -> Response {
     use std::fmt::Write as _;
     let mut resp = router::render_metrics();
-    let mut total = inner.threaded_open.load(Ordering::Relaxed);
+    let mut total = 0;
     let mut shard_lines = String::new();
     for (i, shard) in inner.shards.iter().enumerate() {
         let open = shard.stats.open.load(Ordering::Relaxed);
@@ -748,7 +434,7 @@ fn recommend_step(
     let deadline =
         effective_deadline(inner.deadline_ms, request.deadline_ms).map(|budget| started + budget);
     // Admission-time checks: a draining server or an already-expired
-    // budget (`X-Deadline-Ms: 0`) answers before any work is queued.
+    // budget (`X-Deadline-Ms: 0`) answers before any work is done.
     if inner.shutdown.load(Ordering::Acquire) {
         return respond(draining());
     }
@@ -783,93 +469,101 @@ fn recommend_step(
     }
     metrics::SERVE_CACHE_MISSES.inc();
 
-    // Single-query bypass: with no batch window to join (empty queue), a
-    // top-1 request is answered inline on the int8-quantized hot path —
-    // no queue hop, no worker round-trip. Only model-source answers are
-    // taken here; every other situation (missing model, unquantizable
-    // model, open circuit, ranked query) falls through so the queue path
-    // stays the single owner of fallback and circuit-open policy.
-    if inner.bypass && parsed.topk == 0 && inner.queue.is_empty() {
-        if let Some(model) = inner.hub.get(case) {
-            if model.recommender.quantized().is_some() {
-                let breaker = inner.breakers.infer(case);
-                if matches!(breaker.try_acquire(), Admit::Yes) {
-                    metrics::SERVE_BYPASS.inc();
-                    // Canary slice: a deterministically sampled request is
-                    // answered by the staged candidate *and* the incumbent,
-                    // the answers compared, and the verdict tallied. The
-                    // client gets the candidate's answer when it succeeded,
-                    // the incumbent's otherwise — a bad canary can lose the
-                    // vote but never fail a request.
-                    if let Some(candidate) = inner.rollout.active() {
-                        if inner.rollout.in_slice(&parsed.cache_key) {
-                            if let Some(cand_model) = candidate.model(case) {
-                                if cand_model.recommender.quantized().is_some() {
-                                    let inc_start = Instant::now();
-                                    let inc = guarded_fast(&model, &parsed.query);
-                                    let inc_us = inc_start.elapsed().as_micros() as u64;
-                                    let cand_start = Instant::now();
-                                    let cand = guarded_fast(cand_model, &parsed.query);
-                                    let cand_us = cand_start.elapsed().as_micros() as u64;
-                                    let cand_failed = matches!(
-                                        &cand,
-                                        crate::batch::Outcome::Err { .. }
-                                    );
-                                    let agreed =
-                                        !cand_failed && answers_agree(&inc, &cand);
-                                    inner.rollout.record_sample(
-                                        &candidate,
-                                        agreed,
-                                        cand_failed,
-                                        cand_us,
-                                        inc_us,
-                                    );
-                                    let inc_failed = matches!(
-                                        &inc,
-                                        crate::batch::Outcome::Err { status, .. } if *status >= 500
-                                    );
-                                    if inc_failed {
-                                        metrics::SERVE_INFER_FAILURES.inc();
-                                    }
-                                    breaker.record(!inc_failed);
-                                    // Never cached: the winning answer may
-                                    // carry a generation that is not live.
-                                    let served = if cand_failed { inc } else { cand };
-                                    return respond(uncached_response(served));
-                                }
-                            }
-                        }
-                    }
-                    // Same panic isolation and breaker accounting as the
-                    // worker's answer_job: a poisoned model costs one 500.
-                    let outcome = guarded_fast(&model, &parsed.query);
-                    let failed = matches!(
-                        &outcome,
-                        crate::batch::Outcome::Err { status, .. } if *status >= 500
-                    );
-                    if failed {
-                        metrics::SERVE_INFER_FAILURES.inc();
-                    }
-                    breaker.record(!failed);
-                    return respond(outcome_response(outcome, parsed.cache_key, inner));
-                }
-            }
+    // The model answers inline, top-1 and ranked alike. A missing model
+    // or an open circuit degrades to the search oracle when one is
+    // configured, else to a 503.
+    let Some(model) = inner.hub.get(case) else {
+        return fallback_or(inner, parsed, deadline, make_reply, started, || {
+            Response::error(
+                503,
+                "model_not_loaded",
+                &format!("no model loaded for case study `{}`", case_name(case)),
+            )
+        });
+    };
+    let breaker = inner.breakers.infer(case);
+    if matches!(breaker.try_acquire(), Admit::No) {
+        return fallback_or(inner, parsed, deadline, make_reply, started, || {
+            let mut resp = Response::error(
+                503,
+                "circuit_open",
+                &format!(
+                    "inference circuit for `{}` is open; retry after cooldown",
+                    case_name(case)
+                ),
+            );
+            resp.retry_after = Some(1);
+            resp
+        });
+    }
+
+    // Canary slice: a deterministically sampled request is answered by
+    // the staged candidate *and* the incumbent, the answers compared, and
+    // the verdict tallied. The client gets the candidate's answer when it
+    // succeeded, the incumbent's otherwise — a bad canary can lose the
+    // vote but never fail a request.
+    if let Some(candidate) = inner.rollout.active() {
+        if let Some(cand_model) = candidate
+            .model(case)
+            .filter(|_| inner.rollout.in_slice(&parsed.cache_key))
+        {
+            let inc_start = Instant::now();
+            let inc = execute_guarded(&model, &parsed.query, parsed.topk);
+            let inc_us = inc_start.elapsed().as_micros() as u64;
+            let cand_start = Instant::now();
+            let cand = execute_guarded(cand_model, &parsed.query, parsed.topk);
+            let cand_us = cand_start.elapsed().as_micros() as u64;
+            let cand_failed = matches!(&cand, Outcome::Err { .. });
+            let agreed = !cand_failed && answers_agree(&inc, &cand);
+            inner
+                .rollout
+                .record_sample(&candidate, agreed, cand_failed, cand_us, inc_us);
+            record_inference(breaker, &inc);
+            // Never cached: the winning answer may carry a generation that
+            // is not live.
+            let served = if cand_failed { inc } else { cand };
+            return respond(outcome_response(served, None, inner));
         }
     }
 
-    // Admission control: reject-on-full keeps queue latency bounded.
+    let outcome = execute_guarded(&model, &parsed.query, parsed.topk);
+    record_inference(breaker, &outcome);
+    respond(outcome_response(outcome, Some(parsed.cache_key), inner))
+}
+
+/// Breaker accounting for one model answer. Only 5xx-class outcomes count
+/// against it: a 422 for an infeasible budget is the query's fault, not
+/// the model's.
+fn record_inference(breaker: &crate::breaker::Breaker, outcome: &Outcome) {
+    let failed = matches!(outcome, Outcome::Err { status, .. } if *status >= 500);
+    if failed {
+        metrics::SERVE_INFER_FAILURES.inc();
+    }
+    breaker.record(!failed);
+}
+
+/// Queues the query for the search oracle when `--fallback search` is on,
+/// else answers `otherwise()`. A full queue rejects with 429.
+fn fallback_or(
+    inner: &Inner,
+    parsed: ParsedQuery,
+    deadline: Option<Instant>,
+    make_reply: &mut dyn FnMut() -> Reply,
+    started: Instant,
+    otherwise: impl FnOnce() -> Response,
+) -> Step {
+    let respond = |resp: Response| Step::Respond(record_latency(started, resp));
+    let Some(queue) = &inner.fallback else {
+        return respond(otherwise());
+    };
     let job = Job {
         query: parsed.query,
         topk: parsed.topk,
         reply: make_reply(),
         deadline,
     };
-    match inner.queue.push(job) {
-        Ok(()) => Step::Queued {
-            started,
-            deadline,
-            cache_key: parsed.cache_key,
-        },
+    match queue.push(job) {
+        Ok(()) => Step::Queued { started, deadline },
         Err(PushError::Full) => {
             let mut resp =
                 Response::error(429, "queue_full", "request queue is full; retry shortly");
@@ -880,16 +574,11 @@ fn recommend_step(
     }
 }
 
-/// Frames an inference [`Outcome`](crate::batch::Outcome) as HTTP and
-/// handles response caching — shared by the queue path and the
-/// single-query bypass so both produce byte-identical responses.
-pub(crate) fn outcome_response(
-    outcome: crate::batch::Outcome,
-    cache_key: Vec<u8>,
-    inner: &Inner,
-) -> Response {
+/// Frames an [`Outcome`] as HTTP and handles response caching: model
+/// answers are cached under `cache_key`, search answers never are.
+pub(crate) fn outcome_response(outcome: Outcome, cache_key: Option<Vec<u8>>, inner: &Inner) -> Response {
     match outcome {
-        crate::batch::Outcome::Ok {
+        Outcome::Ok {
             body_tail,
             generation,
             source,
@@ -899,13 +588,15 @@ pub(crate) fn outcome_response(
                 // Only model answers are cached: a cache must never replay
                 // a degraded-mode answer after the model recovers.
                 Source::Model => {
-                    inner.cache.lock().expect("cache poisoned").put(
-                        cache_key,
-                        CachedResponse {
-                            body_tail,
-                            generation,
-                        },
-                    );
+                    if let Some(key) = cache_key {
+                        inner.cache.lock().expect("cache poisoned").put(
+                            key,
+                            CachedResponse {
+                                body_tail,
+                                generation,
+                            },
+                        );
+                    }
                     Response::json(200, body)
                 }
                 Source::Search => {
@@ -915,60 +606,7 @@ pub(crate) fn outcome_response(
                 }
             }
         }
-        crate::batch::Outcome::Err {
-            status,
-            code,
-            message,
-        } => {
-            let mut resp = Response::error(status, code, &message);
-            if code == "circuit_open" {
-                resp.retry_after = Some(1);
-            }
-            resp
-        }
-    }
-}
-
-/// Panic-isolated [`execute_fast`](crate::batch::execute_fast): a poisoned
-/// model costs one 500, never the connection (or shard) that hit it.
-fn guarded_fast(
-    model: &crate::reload::LoadedModel,
-    query: &crate::batch::RecQuery,
-) -> crate::batch::Outcome {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::batch::execute_fast(model, query)
-    }))
-    .unwrap_or_else(|_| crate::batch::Outcome::Err {
-        status: 500,
-        code: "inference_panic",
-        message: "inference panicked; the request was isolated".into(),
-    })
-}
-
-/// Whether two successful fast-path answers agree on everything but the
-/// producing generation (the tail's first field, which legitimately
-/// differs between incumbent and candidate).
-fn answers_agree(a: &crate::batch::Outcome, b: &crate::batch::Outcome) -> bool {
-    let tail = |o: &crate::batch::Outcome| match o {
-        crate::batch::Outcome::Ok { body_tail, .. } => body_tail
-            .find(',')
-            .map(|i| body_tail[i..].to_string()),
-        crate::batch::Outcome::Err { .. } => None,
-    };
-    match (tail(a), tail(b)) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    }
-}
-
-/// Frames an outcome as HTTP without touching the response cache (canary
-/// comparisons: the served answer may come from a non-live generation).
-fn uncached_response(outcome: crate::batch::Outcome) -> Response {
-    match outcome {
-        crate::batch::Outcome::Ok { body_tail, .. } => {
-            Response::json(200, format!("{{\"cached\":false,{body_tail}"))
-        }
-        crate::batch::Outcome::Err {
+        Outcome::Err {
             status,
             code,
             message,
@@ -976,43 +614,61 @@ fn uncached_response(outcome: crate::batch::Outcome) -> Response {
     }
 }
 
+/// The part of an answer two models must match on for the canary to
+/// count them as agreeing: everything after the generation (the tail's
+/// first field, which legitimately differs between incumbent and
+/// candidate), cut before the first `score`. For a ranked answer that is
+/// its first entry without its score; a top-1 answer has no score.
+fn answer_key(outcome: &Outcome) -> Option<&str> {
+    let Outcome::Ok { body_tail, .. } = outcome else {
+        return None;
+    };
+    let rest = &body_tail[body_tail.find(',')?..];
+    Some(rest.find(",\"score\":").map_or(rest, |i| &rest[..i]))
+}
+
+/// Whether two successful answers agree (see [`answer_key`]).
+fn answers_agree(a: &Outcome, b: &Outcome) -> bool {
+    matches!((answer_key(a), answer_key(b)), (Some(x), Some(y)) if x == y)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn reaper_releases_finished_handles_without_an_accept() {
-        let set = ReapedSet::start(Duration::from_millis(10));
-        for _ in 0..8 {
-            set.push(std::thread::spawn(|| {}));
+    fn ok(tail: &str) -> Outcome {
+        Outcome::Ok {
+            body_tail: tail.into(),
+            generation: 1,
+            source: Source::Model,
         }
-        // The threads exit immediately; only the timer sweeps them.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.len() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(set.len(), 0, "finished handles must be reaped on the timer");
-        set.finish();
     }
 
     #[test]
-    fn reaper_push_bound_sweeps_bursts_between_timer_ticks() {
-        // A huge interval so only the in-push bound can sweep.
-        let set = ReapedSet::start(Duration::from_secs(3600));
-        for _ in 0..REAP_PUSH_BOUND + 8 {
-            set.push(std::thread::spawn(|| {}));
-        }
-        assert!(
-            set.len() < REAP_PUSH_BOUND,
-            "push bound must sweep finished handles (len: {})",
-            set.len()
-        );
-        // Don't wait an hour: drop the sweeper by hand.
-        set.stop.store(true, Ordering::Release);
-        let handles = std::mem::take(&mut *set.handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
+    fn canary_agreement_ignores_generation_and_scores() {
+        let top1 = |g: u64, df: &str| {
+            ok(&format!(
+                "\"generation\":{g},\"case\":\"array\",\"source\":\"model\",\"result\":{{\"rows\":4,\"dataflow\":\"{df}\"}}}}\n"
+            ))
+        };
+        assert!(answers_agree(&top1(1, "OS"), &top1(2, "OS")));
+        assert!(!answers_agree(&top1(1, "OS"), &top1(2, "WS")));
+        // Ranked answers agree when their first entry, without its score,
+        // matches: the tail of the list and every score may differ.
+        let ranked = |g: u64, first: &str, s1: f64, second: &str| {
+            ok(&format!(
+                "\"generation\":{g},\"case\":\"array\",\"source\":\"model\",\"results\":[\
+                 {{\"dataflow\":\"{first}\",\"score\":{s1}}},{{\"dataflow\":\"{second}\",\"score\":0.1}}]}}\n"
+            ))
+        };
+        assert!(answers_agree(&ranked(1, "OS", 0.6, "WS"), &ranked(2, "OS", 0.4, "IS")));
+        assert!(!answers_agree(&ranked(1, "OS", 0.6, "WS"), &ranked(2, "WS", 0.6, "OS")));
+        let failed = Outcome::Err {
+            status: 500,
+            code: "inference_failed",
+            message: String::new(),
+        };
+        assert!(!answers_agree(&top1(1, "OS"), &failed));
     }
 
     #[test]

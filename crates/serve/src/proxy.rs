@@ -49,7 +49,7 @@ use airchitect_telemetry::metrics;
 use crate::breaker::Admit;
 use crate::client::RetryClient;
 use crate::http::{self, read_request, write_response, ReadError, Request, Response};
-use crate::listener::accept_with_retry;
+use crate::listener::MAX_ACCEPT_ERRORS;
 use crate::registry::{Registry, RegistryError, DEFAULT_RETAIN};
 use crate::router::{self, Route};
 use crate::supervisor::{fleet_status, ClusterConfig, Fleet, ReplicaSlot, Supervisor};
@@ -62,6 +62,43 @@ const MAX_PROXIED_BYTES: usize = http::MAX_BODY_BYTES + 64 * 1024;
 const LATENCY_WINDOW: usize = 512;
 /// Samples required before auto-hedging switches on.
 const LATENCY_WARMUP: usize = 64;
+
+/// One step of the router's blocking accept loop: transient failures back
+/// off and retry (pending connections stay in the kernel backlog), a
+/// persistent streak errors out, and a failure observed while `shutdown`
+/// is set ends the loop cleanly. Returns `Ok(None)` for "stop accepting".
+fn accept_with_retry(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    errors: &mut u32,
+    point: &'static str,
+) -> Result<Option<(TcpStream, SocketAddr)>, ServeError> {
+    loop {
+        // The closure gives the failpoint's injected error an early
+        // return target without leaving the loop.
+        #[allow(clippy::redundant_closure_call)]
+        let attempt = (|| {
+            airchitect_chaos::fail_point!(point, Err);
+            listener.accept()
+        })();
+        match attempt {
+            Ok(pair) => {
+                *errors = 0;
+                return Ok(Some(pair));
+            }
+            Err(e) => {
+                if shutdown.load(Ordering::Acquire) {
+                    return Ok(None);
+                }
+                *errors += 1;
+                if *errors > MAX_ACCEPT_ERRORS {
+                    return Err(ServeError::Io(format!("accept: {e}")));
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Backend response parsing (resumable, for hedging)
@@ -1184,7 +1221,6 @@ impl Cluster {
         for (flag, value) in [
             ("--workers", config.workers as u64),
             ("--queue-depth", config.queue_depth as u64),
-            ("--batch-max", config.batch_max as u64),
             ("--cache-cap", config.cache_capacity as u64),
             ("--read-timeout-secs", config.read_timeout_secs),
             ("--write-timeout-secs", config.write_timeout_secs),
@@ -1199,12 +1235,6 @@ impl Cluster {
         if config.fallback_search {
             argv.push("--fallback".into());
             argv.push("search".into());
-        }
-        if !config.single_query_bypass {
-            argv.push("--no-bypass".into());
-        }
-        if config.threaded {
-            argv.push("--threaded".into());
         }
         if config.nodelay {
             argv.push("--nodelay".into());

@@ -1,11 +1,10 @@
 //! Atomic model hot-reload.
 //!
 //! The server holds one slot per case study, each an
-//! `RwLock<Option<Arc<LoadedModel>>>`. Readers (the batch workers) clone
-//! the `Arc` once per micro-batch and answer every job in the batch from
-//! that snapshot, so a reload never tears a response: in-flight batches
-//! finish on the old model, later batches see the new one, and nothing in
-//! between.
+//! `RwLock<Option<Arc<LoadedModel>>>`. Readers (the event-loop shards)
+//! clone the `Arc` once per request and answer from that snapshot, so a
+//! reload never tears a response: requests in flight finish on the old
+//! model, later ones see the new one, and nothing in between.
 //!
 //! `reload()` is all-or-nothing: every registered path is re-read and
 //! validated (the `AIRM` codec checksum-verifies v2 files) *before* any
@@ -337,7 +336,7 @@ mod tests {
     fn load_reload_and_generation_bump() {
         let path = temp_path("a.airm");
         persist::save(&tiny_cs1_model(), &path).unwrap();
-        let hub = ModelHub::load(&[path.clone()], false).unwrap();
+        let hub = ModelHub::load(std::slice::from_ref(&path), false).unwrap();
         assert_eq!(hub.generation(), 1);
         let before = hub.get(CaseStudy::ArrayDataflow).unwrap();
         assert_eq!(before.generation, 1);
@@ -347,7 +346,7 @@ mod tests {
         assert_eq!(fresh.len(), 1);
         let after = hub.get(CaseStudy::ArrayDataflow).unwrap();
         assert_eq!(after.generation, 2);
-        // The old snapshot is still usable by an in-flight batch.
+        // The old snapshot is still usable by an in-flight request.
         assert_eq!(before.generation, 1);
         let _ = std::fs::remove_file(&path);
     }
@@ -356,7 +355,7 @@ mod tests {
     fn corrupt_file_fails_reload_but_keeps_serving() {
         let path = temp_path("b.airm");
         persist::save(&tiny_cs1_model(), &path).unwrap();
-        let hub = ModelHub::load(&[path.clone()], false).unwrap();
+        let hub = ModelHub::load(std::slice::from_ref(&path), false).unwrap();
 
         // Truncate the file: the checksum-verified load must reject it.
         let bytes = std::fs::read(&path).unwrap();
@@ -408,10 +407,10 @@ mod tests {
         // Corrupt the file, then start in tolerant (degraded) mode.
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
         assert!(matches!(
-            ModelHub::load(&[path.clone()], false),
+            ModelHub::load(std::slice::from_ref(&path), false),
             Err(ServeError::Model(_))
         ));
-        let hub = ModelHub::load(&[path.clone()], true).unwrap();
+        let hub = ModelHub::load(std::slice::from_ref(&path), true).unwrap();
         assert!(hub.get(CaseStudy::ArrayDataflow).is_none());
         assert_eq!(hub.load_errors().len(), 1);
 

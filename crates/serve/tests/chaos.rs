@@ -93,7 +93,7 @@ fn config(breaker_threshold: u32, cooldown_ms: u64, fallback: bool) -> ServeConf
     ServeConfig {
         model_paths: vec![cs1_model_file()],
         read_timeout_secs: 30,
-        cache_capacity: 0, // no caching: every request must reach a worker
+        cache_capacity: 0, // no caching: every request must be answered anew
         breaker_threshold,
         breaker_cooldown_ms: cooldown_ms,
         fallback_search: fallback,
@@ -109,6 +109,9 @@ fn shutdown(addr: SocketAddr, handle: ServerHandle) {
 }
 
 const ARRAY_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024}"#;
+/// CS2 has no loaded model in these tests: with the search fallback on,
+/// this request becomes a job for the fallback workers.
+const BUFFERS_BODY: &str = r#"{"m":256,"n":256,"k":256,"rows":32,"cols":32,"limit_kb":1500}"#;
 
 #[test]
 fn breaker_opens_after_injected_failures_and_half_open_recovers() {
@@ -198,18 +201,16 @@ fn open_circuit_with_fallback_serves_the_search_answer() {
 #[test]
 fn injected_worker_stall_turns_into_a_timely_504() {
     let _guard = chaos("serve.batch.dispatch=delay(600):1:1");
-    // Bypass disabled: the stall is injected on the *worker* dispatch
-    // path, and the 504-at-deadline contract is about a connection thread
-    // abandoning a stuck worker.
+    // The stall is injected on the fallback worker; the 504-at-deadline
+    // contract is about the shard abandoning a stuck worker.
     let (addr, handle) = start(ServeConfig {
         deadline_ms: 150,
-        single_query_bypass: false,
-        ..config(0, 0, false)
+        ..config(0, 0, true)
     });
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
 
     let started = std::time::Instant::now();
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/buffers", BUFFERS_BODY).unwrap();
     assert_eq!(resp.status, 504, "{}", resp.body);
     assert!(resp.body.contains("deadline_exceeded"), "{}", resp.body);
     // The 504 must be answered at the deadline, not after the stall ends.
@@ -220,7 +221,7 @@ fn injected_worker_stall_turns_into_a_timely_504() {
     );
 
     // Once the injected stall drains, the server answers normally.
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/buffers", BUFFERS_BODY).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
     shutdown(addr, handle);
 }
@@ -228,29 +229,26 @@ fn injected_worker_stall_turns_into_a_timely_504() {
 #[test]
 fn injected_worker_panic_is_isolated_to_one_500() {
     let _guard = chaos("serve.batch.dispatch=panic:1:1");
-    // Bypass disabled: the panic is injected on the worker dispatch path.
-    let (addr, handle) = start(ServeConfig {
-        single_query_bypass: false,
-        ..config(0, 0, false)
-    });
+    // The panic is injected on the fallback worker, around the oracle.
+    let (addr, handle) = start(config(0, 0, true));
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
 
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/buffers", BUFFERS_BODY).unwrap();
     assert_eq!(resp.status, 500, "{}", resp.body);
     assert!(resp.body.contains("inference_panic"), "{}", resp.body);
     // The worker survived; later requests are answered.
     for _ in 0..3 {
-        let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+        let resp = client.post("/v1/recommend/buffers", BUFFERS_BODY).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
     shutdown(addr, handle);
 }
 
 #[test]
-fn injected_panic_on_the_bypass_is_isolated_to_one_500() {
-    // `serve.infer` fires inside `execute_fast`, so with the bypass
-    // enabled (the default) the panic lands on the *connection* thread —
-    // it must be caught there exactly like the worker catches its own.
+fn injected_panic_on_the_inline_path_is_isolated_to_one_500() {
+    // `serve.infer` fires inside `execute`, which runs on the event-loop
+    // shard — the panic must be caught there, costing one 500 and never
+    // the shard.
     let _guard = chaos("serve.infer=panic:1:1");
     let (addr, handle) = start(config(0, 0, false));
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();

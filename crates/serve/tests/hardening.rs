@@ -1,7 +1,7 @@
-//! Integration: serving-core hardening — the timer-based connection-thread
-//! reaper, request-latency accounting on every terminal path, per-shard
-//! reactor telemetry, and socket-level parser robustness (dribbled bytes,
-//! pipelining, unbounded heads).
+//! Integration: serving-core hardening — request-latency accounting on
+//! every terminal path, per-shard reactor telemetry, and socket-level
+//! parser robustness (dribbled bytes, pipelining, unbounded heads, header
+//! trickles).
 //!
 //! Lives in its own binary so its metric assertions see a registry no
 //! other suite is writing to (telemetry statics are per-process).
@@ -77,6 +77,7 @@ fn shutdown(addr: SocketAddr, handle: ServerHandle) {
 }
 
 const ARRAY_BODY: &str = r#"{"m":128,"n":64,"k":256,"mac_budget":1024}"#;
+const BUFFERS_BODY: &str = r#"{"m":256,"n":256,"k":256,"rows":32,"cols":32,"limit_kb":1500}"#;
 
 /// Reads a metric value (`name value`) out of a `/metrics` scrape.
 fn metric(body: &str, name: &str) -> Option<f64> {
@@ -86,67 +87,20 @@ fn metric(body: &str, name: &str) -> Option<f64> {
     })
 }
 
-/// The threaded listener used to release finished connection threads only
-/// when the *next* accept arrived; after a burst against an idle server
-/// they all lingered. The timer reaper must return the handle count to
-/// baseline with no further traffic.
-#[test]
-fn conn_thread_count_returns_to_baseline_after_a_burst() {
-    let config = ServeConfig {
-        model_paths: vec![model_file()],
-        read_timeout_secs: 30,
-        threaded: true,
-        ..ServeConfig::default()
-    };
-    let (addr, handle) = start(config);
-
-    // Burst: 8 concurrent connections, one request each, then hang up.
-    {
-        let clients: Vec<HttpClient> = (0..8)
-            .map(|_| {
-                let mut c = HttpClient::connect(addr, TIMEOUT).unwrap();
-                assert_eq!(c.get("/healthz").unwrap().status, 200);
-                c
-            })
-            .collect();
-        drop(clients);
-    }
-
-    // No accepts happen while we wait: the reaper alone must notice the
-    // burst threads finishing. One persistent scraper connection polls,
-    // so the floor is that single live thread.
-    let mut scraper = HttpClient::connect(addr, TIMEOUT).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut last = f64::MAX;
-    while Instant::now() < deadline {
-        let scrape = scraper.get("/metrics").unwrap();
-        assert_eq!(scrape.status, 200);
-        last = metric(&scrape.body, "serve.conn_threads").unwrap_or(f64::MAX);
-        if last <= 1.0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    assert!(
-        last <= 1.0,
-        "burst connection threads were not reaped without a new accept \
-         (serve.conn_threads stuck at {last})"
-    );
-    shutdown(addr, handle);
-}
-
 /// `serve.request_us` must observe *every* terminal path — 504s from an
 /// expired budget, 429s from a full queue, and parse rejections — not
 /// just successful answers, or the histogram lies about tail latency
 /// exactly when the server is struggling.
 #[test]
 fn latency_histogram_counts_rejected_and_expired_requests() {
+    // Only fallback jobs queue: with the search fallback on, a CS2 query
+    // (no CS2 model loaded) is one, and depth 0 answers it 429.
     let config = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 30,
-        queue_depth: 0,            // every queued push answers 429
-        single_query_bypass: false, // force the queue path
-        cache_capacity: 0,         // no cache hits short-circuiting
+        queue_depth: 0,        // every queued push answers 429
+        fallback_search: true, // a case without a model becomes a queued job
+        cache_capacity: 0,     // no cache hits short-circuiting
         ..ServeConfig::default()
     };
     let (addr, handle) = start(config);
@@ -163,7 +117,7 @@ fn latency_histogram_counts_rejected_and_expired_requests() {
         .unwrap();
     assert_eq!(resp.status, 504, "{}", resp.body);
     // 429: queue depth zero.
-    let resp = client.post("/v1/recommend/array", ARRAY_BODY).unwrap();
+    let resp = client.post("/v1/recommend/buffers", BUFFERS_BODY).unwrap();
     assert_eq!(resp.status, 429, "{}", resp.body);
     // 400: parse rejection.
     let resp = client.post("/v1/recommend/array", "{\"m\":-1}").unwrap();
@@ -183,12 +137,8 @@ fn latency_histogram_counts_rejected_and_expired_requests() {
 
 /// The evented listener publishes per-shard gauges; the aggregate
 /// connection gauge must cover the scraping connection itself.
-#[cfg(target_os = "linux")]
 #[test]
 fn evented_listener_exposes_per_shard_metrics() {
-    if ServeConfig::default().threaded {
-        return; // threaded CI leg: no shards to inspect
-    }
     let config = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 30,
@@ -347,31 +297,24 @@ fn newline_free_megabyte_head_is_answered_413_mid_flood() {
     shutdown(addr, handle);
 }
 
-/// `--nodelay` is opt-in and mode-independent: with it set, both listener
-/// modes keep answering identically (TCP_NODELAY must never change
-/// observable semantics, only latency).
+/// `--nodelay` is opt-in: with it set, the server answers exactly as it
+/// does without (TCP_NODELAY must never change observable semantics,
+/// only latency).
 #[test]
-fn nodelay_keeps_listener_parity() {
-    if !cfg!(target_os = "linux") {
-        return; // only one listener exists off-Linux
-    }
+fn nodelay_keeps_answers_identical() {
     let base = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 30,
         cache_capacity: 0,
-        nodelay: true,
+        nodelay: false,
         ..ServeConfig::default()
     };
-    let threaded = ServeConfig {
-        threaded: true,
+    let nodelay = ServeConfig {
+        nodelay: true,
         ..base.clone()
     };
-    let evented = ServeConfig {
-        threaded: false,
-        ..base
-    };
-    let (addr_a, handle_a) = start(threaded);
-    let (addr_b, handle_b) = start(evented);
+    let (addr_a, handle_a) = start(nodelay);
+    let (addr_b, handle_b) = start(base);
     let mut a = HttpClient::connect(addr_a, TIMEOUT).unwrap();
     let mut b = HttpClient::connect(addr_b, TIMEOUT).unwrap();
     for _ in 0..4 {
@@ -385,53 +328,6 @@ fn nodelay_keeps_listener_parity() {
     shutdown(addr_b, handle_b);
 }
 
-/// Both listeners answer the same requests with the same statuses and
-/// body shapes — the mode flag must not change observable semantics.
-#[test]
-fn threaded_and_evented_listeners_answer_identically() {
-    let base = ServeConfig {
-        model_paths: vec![model_file()],
-        read_timeout_secs: 30,
-        cache_capacity: 0, // identical `cached` flags on both servers
-        ..ServeConfig::default()
-    };
-    let threaded = ServeConfig {
-        threaded: true,
-        ..base.clone()
-    };
-    let evented = ServeConfig {
-        threaded: false,
-        ..base
-    };
-    if !cfg!(target_os = "linux") {
-        return; // only one listener exists off-Linux
-    }
-    let (addr_a, handle_a) = start(threaded);
-    let (addr_b, handle_b) = start(evented);
-    let mut a = HttpClient::connect(addr_a, TIMEOUT).unwrap();
-    let mut b = HttpClient::connect(addr_b, TIMEOUT).unwrap();
-
-    for (method_post, path, body) in [
-        (true, "/v1/recommend/array", ARRAY_BODY),
-        (true, "/v1/recommend/array", "{\"m\":-1}"),
-        (true, "/v1/recommend/buffers", ARRAY_BODY),
-        (false, "/healthz", ""),
-        (true, "/nope", ""),
-    ] {
-        let (ra, rb) = if method_post {
-            (a.post(path, body).unwrap(), b.post(path, body).unwrap())
-        } else {
-            (a.get(path).unwrap(), b.get(path).unwrap())
-        };
-        assert_eq!(ra.status, rb.status, "{path}: {} vs {}", ra.body, rb.body);
-        if path.starts_with("/v1/recommend") && ra.status == 200 {
-            assert_eq!(ra.body, rb.body, "{path}");
-        }
-    }
-    shutdown(addr_a, handle_a);
-    shutdown(addr_b, handle_b);
-}
-
 /// A slowloris client trickles header bytes forever, refreshing the
 /// per-chunk activity clock on every byte so the idle timeout never
 /// fires. The evented core's header-phase deadline must answer 408 and
@@ -440,14 +336,10 @@ fn threaded_and_evented_listeners_answer_identically() {
 /// `serve.slowloris_reaped`.
 #[test]
 fn slowloris_header_trickle_is_reaped_with_408() {
-    if !cfg!(target_os = "linux") {
-        return; // the evented core is Linux-only
-    }
     let config = ServeConfig {
         model_paths: vec![model_file()],
         read_timeout_secs: 1,
         event_loops: 1,
-        threaded: false,
         ..ServeConfig::default()
     };
     let (addr, handle) = start(config);

@@ -165,14 +165,14 @@ fn repeat_queries_hit_the_cache_and_metrics_show_it() {
 
 #[test]
 fn full_queue_answers_429_with_retry_after() {
-    // Depth 0 = every uncached request is rejected at admission. The
-    // single-query bypass would answer inline without touching the queue,
-    // so it is disabled to exercise the admission-control path.
+    // Depth 0 = every queued job is rejected at admission. Model answers
+    // never queue, so the request targets a case with no loaded model and
+    // the search fallback on: that job is the one the queue must refuse.
     let config = ServeConfig {
         queue_depth: 0,
         cache_capacity: 0,
-        single_query_bypass: false,
-        ..default_config(vec![model_file(CaseStudy::ArrayDataflow)])
+        fallback_search: true,
+        ..default_config(vec![model_file(CaseStudy::BufferSizing)])
     };
     let (addr, handle) = start(config);
     let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
@@ -409,13 +409,14 @@ fn degradation_ladder_is_table_driven() {
         },
         Case {
             name: "queue-full",
-            // Bypass disabled: this rung is about queue admission, which
-            // an inline answer would never reach.
+            // No CS1 model and the search fallback on: the request becomes
+            // a fallback job, and queue admission refuses it. (A model
+            // answer is inline and would never reach the queue.)
             config: ServeConfig {
                 queue_depth: 0,
                 cache_capacity: 0,
-                single_query_bypass: false,
-                ..default_config(vec![model_file(CaseStudy::ArrayDataflow)])
+                fallback_search: true,
+                ..default_config(vec![model_file(CaseStudy::BufferSizing)])
             },
             deadline_ms: None,
             status: 429,
@@ -473,7 +474,7 @@ fn degradation_ladder_is_table_driven() {
 }
 
 #[test]
-fn reload_swaps_the_quantized_model_and_bypass_answers_from_it() {
+fn reload_swaps_the_quantized_model_and_inline_answers_use_it() {
     use airchitect::Recommender;
     use airchitect_dse::case1::Case1Problem;
     use airchitect_dse::space::Case1Space;
@@ -546,8 +547,8 @@ fn reload_swaps_the_quantized_model_and_bypass_answers_from_it() {
     assert!(after.body.contains("\"generation\":2"), "{}", after.body);
     assert!(after.body.contains(&expected), "{} !~ {expected}", after.body);
 
-    // The inline path actually served these: the bypass counter moved and
-    // the quantized pass touched the embedding memo.
+    // The quantized pass actually served these: it touched the embedding
+    // memo.
     let metrics = client.get("/metrics").unwrap();
     let counter = |name: &str| {
         metrics
@@ -560,7 +561,6 @@ fn reload_swaps_the_quantized_model_and_bypass_answers_from_it() {
             })
             .unwrap_or(0)
     };
-    assert!(counter("serve.bypass") > 0, "{}", metrics.body);
     assert!(counter("quant.memo_misses") > 0, "{}", metrics.body);
 
     shutdown(addr, handle);
@@ -602,6 +602,131 @@ fn concurrent_load_with_reloads_never_sees_5xx() {
         worker.join().expect("load thread panicked");
     }
 
+    shutdown(addr, handle);
+}
+
+/// Bodies for `case`, cycling through `i`: every budget generous enough
+/// that feasibility never filters, so the served top-1 is the network's
+/// argmax in whichever numerics answered.
+fn probe_body(case: CaseStudy, i: u64, topk: usize) -> String {
+    let dim = |salt: u64| 8 + (i * salt) % 500;
+    match case {
+        CaseStudy::ArrayDataflow => format!(
+            "{{\"m\":{},\"n\":{},\"k\":{},\"mac_budget\":1024,\"topk\":{topk}}}",
+            dim(37),
+            dim(53),
+            dim(71)
+        ),
+        CaseStudy::BufferSizing => format!(
+            "{{\"m\":{},\"n\":{},\"k\":{},\"rows\":32,\"cols\":32,\"limit_kb\":100000,\"topk\":{topk}}}",
+            dim(37),
+            dim(53),
+            dim(71)
+        ),
+        CaseStudy::MultiArrayScheduling => format!(
+            "{{\"workloads\":[{{\"m\":{},\"n\":64,\"k\":64}},{{\"m\":128,\"n\":{},\"k\":128}},\
+             {{\"m\":256,\"n\":64,\"k\":{}}},{{\"m\":96,\"n\":96,\"k\":96}}],\"topk\":{topk}}}",
+            dim(37),
+            dim(53),
+            dim(71)
+        ),
+    }
+}
+
+fn recommend_path(case: CaseStudy) -> &'static str {
+    match case {
+        CaseStudy::ArrayDataflow => "/v1/recommend/array",
+        CaseStudy::BufferSizing => "/v1/recommend/buffers",
+        CaseStudy::MultiArrayScheduling => "/v1/recommend/schedule",
+    }
+}
+
+/// A top-1 query whose f32 and int8 argmax differ for the test models: an
+/// answer that would change if load ever routed it to other numerics.
+fn numerics_sensitive_query() -> (CaseStudy, String) {
+    use airchitect_dse::case1::Case1Problem;
+    use airchitect_dse::case3::Case3Problem;
+    use airchitect_serve::batch::RecQuery;
+    use airchitect_serve::router;
+
+    for case in CaseStudy::ALL {
+        let rec = airchitect::Recommender::new(persist::load(model_file(case)).unwrap()).unwrap();
+        for i in 0..2000 {
+            let body = probe_body(case, i, 0);
+            let parsed = router::parse_recommend(case, body.as_bytes()).unwrap();
+            let features: Vec<f32> = match &parsed.query {
+                RecQuery::Array { workload, mac_budget } => {
+                    Case1Problem::features(workload, *mac_budget).to_vec()
+                }
+                RecQuery::Buffers { query } => query.features().to_vec(),
+                RecQuery::Schedule { workloads } => Case3Problem::features(workloads).to_vec(),
+            };
+            if rec.quantized_top1(&features) != Some(rec.model().predict_row(&features)) {
+                return (case, body);
+            }
+        }
+    }
+    panic!("no probe query separates the f32 and int8 numerics");
+}
+
+/// A served answer depends only on the query and the model version, never
+/// on load: the same top-1 and top-16 queries for every case study answer
+/// byte-identically on an idle server and under saturating concurrent
+/// ranked traffic. One probe is a query whose f32 and int8 top-1 differ,
+/// so an answer path that switched numerics under load would show here.
+#[test]
+fn answers_are_byte_identical_idle_and_under_saturating_load() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let config = ServeConfig {
+        cache_capacity: 0, // every answer is computed, none replayed
+        ..default_config(all_models())
+    };
+    let (addr, handle) = start(config);
+    let mut probes: Vec<(CaseStudy, String)> = CaseStudy::ALL
+        .iter()
+        .flat_map(|&case| [0, 16].map(|topk| (case, probe_body(case, 1, topk))))
+        .collect();
+    probes.push(numerics_sensitive_query());
+
+    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+    let idle: Vec<String> = probes
+        .iter()
+        .map(|(case, body)| {
+            let resp = client.post(recommend_path(*case), body).unwrap();
+            assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+            resp.body
+        })
+        .collect();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let loaders: Vec<_> = (0..8u64)
+        .map(|tid| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+                let mut i = 100 + tid * 1000;
+                while !stop.load(Ordering::Acquire) {
+                    let case = CaseStudy::ALL[(i % 3) as usize];
+                    let resp = client.post(recommend_path(case), &probe_body(case, i, 16)).unwrap();
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    for round in 0..20 {
+        for ((case, body), want) in probes.iter().zip(&idle) {
+            let resp = client.post(recommend_path(*case), body).unwrap();
+            assert_eq!(&resp.body, want, "round {round}: {body} answered differently under load");
+        }
+    }
+    stop.store(true, Ordering::Release);
+    for loader in loaders {
+        loader.join().expect("load thread panicked");
+    }
     shutdown(addr, handle);
 }
 
@@ -891,6 +1016,56 @@ fn corrupt_candidate_fails_staging_and_is_quarantined() {
     let reg = Registry::open(&dir, 3).unwrap();
     assert_eq!(reg.manifest().active, Some(1));
     assert!(reg.manifest().entries.iter().any(|e| e.version == 2 && e.quarantined));
+
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The canary slice covers ranked traffic too: with every request in the
+/// slice, a top-16 query is answered by both models and tallied, and two
+/// ranked answers agree when their first entry (without its score)
+/// matches.
+#[test]
+fn canary_compares_ranked_requests() {
+    use airchitect_serve::registry::Registry;
+
+    let (dir, config) = rollout_fixture("ranked", 1.0);
+    let (addr, handle) = start(ServeConfig {
+        canary_min_samples: 1000, // stay in evaluation for the whole test
+        ..config
+    });
+    let mut client = HttpClient::connect(addr, TIMEOUT).unwrap();
+    {
+        let bytes = std::fs::read(dir.join("seed.airm")).unwrap();
+        let mut reg = Registry::open(&dir, 3).unwrap();
+        assert_eq!(reg.add_version(&bytes).unwrap(), 2);
+    }
+    let resp = client.post("/v1/reload", "").unwrap();
+    assert!(resp.body.contains("\"state\":\"evaluating\""), "{}", resp.body);
+
+    let samples = |client: &mut HttpClient| {
+        let metrics = client.get("/metrics").unwrap();
+        metrics
+            .body
+            .lines()
+            .find_map(|l| l.strip_prefix("serve.canary.samples "))
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(0)
+    };
+    let before = samples(&mut client);
+    let resp = client
+        .post("/v1/recommend/array", r#"{"m":128,"n":64,"k":256,"mac_budget":1024,"topk":16}"#)
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(resp.body.contains("\"results\":["), "{}", resp.body);
+    assert!(samples(&mut client) > before, "a ranked request must be a canary sample");
+    // Identical weights: the ranked sample counts as an agreement.
+    let health = client.get("/healthz").unwrap();
+    assert!(
+        health.body.contains("\"samples\":1,\"agreements\":1,\"failures\":0"),
+        "{}",
+        health.body
+    );
 
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

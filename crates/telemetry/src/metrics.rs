@@ -259,16 +259,12 @@ pub static GEMM_DISPATCH_AVX2: Counter = Counter::new("gemm.kernel_dispatch.avx2
 pub static GEMM_DISPATCH_SCALAR: Counter = Counter::new("gemm.kernel_dispatch.scalar");
 /// HTTP requests accepted by the inference server (any route).
 pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
-/// Recommendation requests rejected with 429 because the queue was full.
+/// Fallback-search requests rejected with 429 because the queue was full.
 pub static SERVE_REJECTED: Counter = Counter::new("serve.rejected");
 /// Recommendation responses served from the LRU cache.
 pub static SERVE_CACHE_HITS: Counter = Counter::new("serve.cache_hits");
 /// Recommendation requests that missed the cache and ran inference.
 pub static SERVE_CACHE_MISSES: Counter = Counter::new("serve.cache_misses");
-/// Micro-batches drained from the server queue by the worker pool.
-pub static SERVE_BATCHES: Counter = Counter::new("serve.batches");
-/// Jobs executed inside those micro-batches.
-pub static SERVE_BATCHED_JOBS: Counter = Counter::new("serve.batched_jobs");
 /// Successful model hot-reloads.
 pub static SERVE_RELOADS: Counter = Counter::new("serve.reloads");
 /// Requests answered 504 because their end-to-end deadline expired.
@@ -307,9 +303,7 @@ pub static QGEMV_DISPATCH_SCALAR: Counter = Counter::new("qgemv.dispatch.scalar"
 pub static QUANT_MEMO_HITS: Counter = Counter::new("quant.memo_hits");
 /// Embedding-concat memo misses on the quantized inference path.
 pub static QUANT_MEMO_MISSES: Counter = Counter::new("quant.memo_misses");
-/// Recommendations answered inline on the single-query bypass (no queue).
-pub static SERVE_BYPASS: Counter = Counter::new("serve.bypass");
-/// Event-loop wakeups issued by batch workers delivering completions to
+/// Event-loop wakeups issued by fallback workers delivering completions to
 /// the evented listener (one eventfd write per empty→non-empty queue
 /// transition, not one per completion).
 pub static SERVE_WAKEUPS: Counter = Counter::new("serve.wakeups");
@@ -369,9 +363,6 @@ pub static SERVE_BREAKER_SCHEDULE: Gauge = Gauge::new("serve.breaker_state.sched
 pub static SERVE_BREAKER_RELOAD: Gauge = Gauge::new("serve.breaker_state.reload");
 /// Replicas currently admitted to the cluster routing ring.
 pub static CLUSTER_HEALTHY_REPLICAS: Gauge = Gauge::new("cluster.healthy_replicas");
-/// Live connection-thread handles held by the threaded listener (updated
-/// by its timer-based reaper; absent in evented mode).
-pub static SERVE_CONN_THREADS: Gauge = Gauge::new("serve.conn_threads");
 /// Rolling top-1 agreement between the served model and the shadow DSE
 /// oracle, in `[0, 1]` over the drift monitor's window.
 pub static SERVE_SHADOW_AGREEMENT: Gauge = Gauge::new("serve.shadow.agreement");
@@ -398,8 +389,6 @@ pub static INFER_QUERY_US: Histogram = Histogram::new("infer.query_us");
 pub static CHECKPOINT_SAVE_US: Histogram = Histogram::new("checkpoint.save_us");
 /// End-to-end server request latency (parse to response write), microseconds.
 pub static SERVE_REQUEST_US: Histogram = Histogram::new("serve.request_us");
-/// Jobs per drained micro-batch (a size distribution, not a latency).
-pub static SERVE_BATCH_JOBS: Histogram = Histogram::new("serve.batch_jobs");
 /// Router-observed backend round-trip latency, microseconds.
 pub static CLUSTER_BACKEND_US: Histogram = Histogram::new("cluster.backend_us");
 /// Exact DSE-oracle search latency per shadow-sampled request,
@@ -407,7 +396,7 @@ pub static CLUSTER_BACKEND_US: Histogram = Histogram::new("cluster.backend_us");
 pub static SERVE_SHADOW_ORACLE_US: Histogram =
     Histogram::new("serve.shadow.oracle_us");
 
-static COUNTERS: [&Counter; 54] = [
+static COUNTERS: [&Counter; 51] = [
     &SIM_EVALS,
     &DSE_SEARCHES,
     &DSE_SEARCH_POINTS,
@@ -424,8 +413,6 @@ static COUNTERS: [&Counter; 54] = [
     &SERVE_REJECTED,
     &SERVE_CACHE_HITS,
     &SERVE_CACHE_MISSES,
-    &SERVE_BATCHES,
-    &SERVE_BATCHED_JOBS,
     &SERVE_RELOADS,
     &SERVE_DEADLINE_EXCEEDED,
     &SERVE_BREAKER_OPENS,
@@ -445,7 +432,6 @@ static COUNTERS: [&Counter; 54] = [
     &QGEMV_DISPATCH_SCALAR,
     &QUANT_MEMO_HITS,
     &QUANT_MEMO_MISSES,
-    &SERVE_BYPASS,
     &SERVE_WAKEUPS,
     &SERVE_SHADOW_SAMPLED,
     &SERVE_SHADOW_DROPPED,
@@ -463,7 +449,7 @@ static COUNTERS: [&Counter; 54] = [
     &CLUSTER_ROLLOUT_ROLLBACKS,
     &CLUSTER_ROLLOUT_REPLICA_RELOADS,
 ];
-static GAUGES: [&Gauge; 14] = [
+static GAUGES: [&Gauge; 13] = [
     &TRAIN_LOSS,
     &TRAIN_ACCURACY,
     &SERVE_BREAKER_ARRAY,
@@ -471,7 +457,6 @@ static GAUGES: [&Gauge; 14] = [
     &SERVE_BREAKER_SCHEDULE,
     &SERVE_BREAKER_RELOAD,
     &CLUSTER_HEALTHY_REPLICAS,
-    &SERVE_CONN_THREADS,
     &SERVE_SHADOW_AGREEMENT,
     &SERVE_SHADOW_ORACLE_MEAN_US,
     &SERVE_CANARY_ACTIVE,
@@ -479,12 +464,11 @@ static GAUGES: [&Gauge; 14] = [
     &SERVE_CANARY_P99_RATIO,
     &CLUSTER_ROLLOUT_REPLICAS_DONE,
 ];
-static HISTOGRAMS: [&Histogram; 7] = [
+static HISTOGRAMS: [&Histogram; 6] = [
     &TRAIN_BATCH_US,
     &INFER_QUERY_US,
     &CHECKPOINT_SAVE_US,
     &SERVE_REQUEST_US,
-    &SERVE_BATCH_JOBS,
     &CLUSTER_BACKEND_US,
     &SERVE_SHADOW_ORACLE_US,
 ];
